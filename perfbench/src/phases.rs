@@ -17,7 +17,7 @@ use tgs_net::TcpShard;
 use crate::stats::Samples;
 use crate::system::{net_config, Fleet, System};
 use crate::trace;
-use crate::workload::{Params, SHARDS};
+use crate::workload::{Params, RESTORES_PER_CYCLE, SHARDS};
 
 /// Named samples of one or more rounds, plus the output-check tally.
 #[derive(Default)]
@@ -432,7 +432,8 @@ fn window(gen: &mut LoadGen, users: usize, n: &mut usize) -> EngineSnapshot {
 ///    (re-INIT from the baseline, replay the journal) until the fleet
 ///    answers with the full history again,
 /// 3. checks `apply(base, delta)` against a full checkpoint byte for byte,
-/// 4. restores an engine from the full checkpoint until it answers.
+/// 4. restores an engine from the full checkpoint until it answers,
+///    [`RESTORES_PER_CYCLE`] times.
 ///
 /// Returns the digest of the final fleet timeline.
 pub fn recover(
@@ -521,14 +522,16 @@ pub fn recover(
             format!("recover: apply(base, delta) differs from checkpoint() in cycle {cycle}")
         });
 
-        let t = Instant::now();
-        let restored = rec.time("ckpt.decode", || ShardedEngine::restore(&full))?;
-        let answer = rec.time("query.full_timeline", || restored.query().timeline(..))?;
-        rec.add("e2e.restore", ms_since(t));
-        rec.check(same_bits(&answer, &expected), || {
-            format!("recover: restored engine serves a different timeline in cycle {cycle}")
-        });
-        restored.shutdown()?;
+        for _ in 0..RESTORES_PER_CYCLE {
+            let t = Instant::now();
+            let restored = rec.time("ckpt.decode", || ShardedEngine::restore(&full))?;
+            let answer = rec.time("query.full_timeline", || restored.query().timeline(..))?;
+            rec.add("e2e.restore", ms_since(t));
+            rec.check(same_bits(&answer, &expected), || {
+                format!("recover: restored engine serves a different timeline in cycle {cycle}")
+            });
+            restored.shutdown()?;
+        }
 
         if let (Some(first_delta), Some(second)) = (first_delta, second_copy) {
             replay_rebuild(sys, victim, generation, &base, &first_delta, &second, rec)?;

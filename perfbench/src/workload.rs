@@ -49,6 +49,11 @@ pub const NAMES: [&str; 3] = ["firehose", "trickle", "recover"];
 /// Shards of the in-process engine and servers of the TCP fleet.
 pub const SHARDS: usize = 2;
 
+/// Phase C: restores of each cycle's full checkpoint. A restore is short
+/// next to the rest of a cycle, so several per cycle give
+/// `restore_p50_ms` enough samples per round to hold steady.
+pub const RESTORES_PER_CYCLE: usize = 4;
+
 /// The parameters of workload `name`; `smoke` shrinks every size so a
 /// self-test finishes in seconds.
 pub fn params(name: &str, smoke: bool) -> Option<Params> {
@@ -59,7 +64,7 @@ pub fn params(name: &str, smoke: bool) -> Option<Params> {
             users: 2_000,
             history_tweets: 0,
             max_iters: 20,
-            ingest_docs: 49_152,
+            ingest_docs: 196_608,
             ingest_docs_per_snapshot: 32,
             batch_bucket: 16,
             trickle_snapshots: 100,
@@ -89,7 +94,7 @@ pub fn params(name: &str, smoke: bool) -> Option<Params> {
             users: 20_000,
             history_tweets: 60_000,
             max_iters: 20,
-            ingest_docs: 65_536,
+            ingest_docs: 131_072,
             ingest_docs_per_snapshot: 32,
             batch_bucket: 16,
             trickle_snapshots: 50,

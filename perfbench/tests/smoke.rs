@@ -302,6 +302,9 @@ const INFO: [&str; 4] = [
     "query_p99_ms",
 ];
 
+/// Every workload the binary runs; `BENCHMARK.json` gates a subset.
+const WORKLOADS: [&str; 3] = ["firehose", "trickle", "recover"];
+
 #[test]
 fn every_workload_emits_every_metric_and_passes_its_checks() {
     let bench = benchmark();
@@ -309,6 +312,9 @@ fn every_workload_emits_every_metric_and_passes_its_checks() {
     let per_layer = declared(&bench, "per_layer");
     for w in bench.get("workloads").arr() {
         let name = w.get("name").str();
+        assert!(WORKLOADS.contains(&name), "unknown workload {name}");
+    }
+    for name in WORKLOADS {
         let untraced = run(name, 7, 0);
         assert_result(&untraced, &end_to_end, true);
         for info in INFO {
