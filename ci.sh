@@ -38,6 +38,9 @@ echo "==> soak smoke (Zipf firehose through the batching front end)"
 mkdir -p target/bench-smoke
 ./target/release/tgs soak --smoke --out target/bench-smoke/BENCH_soak.json
 
+echo "==> perfbench self-test (the gated end-to-end benchmark, smoke size)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if [[ "${1:-}" == "--bench" ]]; then
     echo "==> regenerating benchmark artifacts"
     ./scripts/bench_json.sh

@@ -6,6 +6,9 @@
 //! since the base mark. The series pins down both the byte and the
 //! latency ratio as the fraction of users touched per step shrinks.
 //!
+//! The decode side rides along at the 5% point: `apply_delta` and a
+//! full `restore` of the fleet, at one and two shards.
+//!
 //! Measured sizes are embedded in the benchmark ids (`..._<N>B`) so the
 //! `BENCH_ckpt.json` artifact carries bytes alongside nanoseconds.
 
@@ -73,7 +76,10 @@ impl StepDriver {
 /// encodes (freely repeatable) and delta encodes (each iteration
 /// re-arms a fresh base mark and replays one step in untimed setup, so
 /// the timed region is exactly the delta encoding of an r%-step).
-fn bench_rate(c: &mut Criterion, corpus: &Corpus, shards: usize, pct: usize, with_apply: bool) {
+/// `with_decode` adds the decode side: `apply_delta` (base + delta →
+/// full checkpoint) and `restore` (full checkpoint → a running fleet
+/// that has answered one query, the benchmark's restore figure).
+fn bench_rate(c: &mut Criterion, corpus: &Corpus, shards: usize, pct: usize, with_decode: bool) {
     let users = corpus.num_users();
     let touched = (users * pct / 100).max(1);
     let engine = EngineBuilder::new()
@@ -134,9 +140,22 @@ fn bench_rate(c: &mut Criterion, corpus: &Corpus, shards: usize, pct: usize, wit
             )
         },
     );
-    if with_apply {
+    if with_decode {
         group.bench_with_input(BenchmarkId::new("apply_delta", pct), &(), |b, _| {
             b.iter(|| black_box(ShardedEngine::apply_delta(&base, &delta).expect("apply")))
+        });
+        group.bench_with_input(BenchmarkId::new("restore", pct), &(), |b, _| {
+            b.iter_batched(
+                || (),
+                |()| {
+                    let restored = ShardedEngine::restore(&full).expect("restore");
+                    black_box(restored.query().timeline(..).expect("query"));
+                    restored
+                },
+                // Shutdown (joining the workers) happens outside the
+                // timed region, when criterion drops the output.
+                BatchSize::PerIteration,
+            )
         });
     }
     group.finish();
@@ -151,6 +170,8 @@ fn bench_ckpt_encode(c: &mut Criterion) {
     for &pct in &[1usize, 5, 20, 100] {
         bench_rate(c, &corpus, 1, pct, pct == 5);
     }
+    // Two sections: the section-parallel restore path.
+    bench_rate(c, &corpus, 2, 5, true);
     // Multi-section assembly through the 4-shard router path.
     bench_rate(c, &corpus, 4, 5, false);
 }

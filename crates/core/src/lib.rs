@@ -71,6 +71,6 @@ pub use sharded::{
     solve_offline_sharded, try_solve_offline_sharded, try_solve_offline_sharded_with_ghosts,
     GhostRowLink, ShardedOfflineResult, ShardedOnlineSolver, ShardedStepOutcome,
 };
-pub use store::{decode_matrix, encode_matrix, SnapshotStore};
+pub use store::{decode_matrix, encode_matrix, encoded_shape, SnapshotStore};
 pub use window::{FactorWindow, HistoryRows, SentimentHistory, UserHistoryRows, UserPartition};
 pub use workspace::UpdateWorkspace;

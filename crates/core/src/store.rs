@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use tgs_linalg::DenseMatrix;
 
 /// Serializes a dense matrix: `rows: u64 | cols: u64 | data: f64-LE…`.
@@ -22,21 +22,26 @@ pub fn encode_matrix(m: &DenseMatrix) -> Bytes {
     buf.freeze()
 }
 
-/// Inverse of [`encode_matrix`]. Returns `None` on malformed input.
-pub fn decode_matrix(mut bytes: Bytes) -> Option<DenseMatrix> {
-    if bytes.len() < 16 {
-        return None;
-    }
-    let rows = bytes.get_u64_le() as usize;
-    let cols = bytes.get_u64_le() as usize;
+/// Validates an [`encode_matrix`] header against the buffer: returns the
+/// declared `(rows, cols)` when `bytes` holds exactly one encoded matrix
+/// of that shape, `None` otherwise. Lets a decoder adopt encoded bytes
+/// as they are, with the same checks [`decode_matrix`] applies.
+pub fn encoded_shape(bytes: &[u8]) -> Option<(usize, usize)> {
+    let (header, data) = bytes.split_at_checked(16)?;
+    let (rows, cols) = header.split_at(8);
+    let rows = usize::try_from(u64::from_le_bytes(rows.try_into().ok()?)).ok()?;
+    let cols = usize::try_from(u64::from_le_bytes(cols.try_into().ok()?)).ok()?;
     let expected = rows.checked_mul(cols)?.checked_mul(8)?;
-    if bytes.len() != expected {
-        return None;
-    }
-    let mut data = Vec::with_capacity(rows * cols);
-    while bytes.remaining() >= 8 {
-        data.push(bytes.get_f64_le());
-    }
+    (data.len() == expected).then_some((rows, cols))
+}
+
+/// Inverse of [`encode_matrix`]. Returns `None` on malformed input.
+pub fn decode_matrix(bytes: Bytes) -> Option<DenseMatrix> {
+    let (rows, cols) = encoded_shape(bytes.as_slice())?;
+    let data = bytes.as_slice()[16..]
+        .chunks_exact(8)
+        .map(|v| f64::from_le_bytes(v.try_into().expect("8-byte chunk")))
+        .collect();
     DenseMatrix::from_vec(rows, cols, data).ok()
 }
 
@@ -85,20 +90,7 @@ impl SnapshotStore {
     /// double-counted). A single snapshot larger than the whole budget is
     /// still stored (the budget then holds exactly one entry).
     pub fn put(&mut self, timestamp: u64, matrix: &DenseMatrix) {
-        let encoded = encode_matrix(matrix);
-        if let Some(slot) = self.entries.iter_mut().find(|(t, _)| *t == timestamp) {
-            self.used_bytes -= slot.1.len();
-            self.used_bytes += encoded.len();
-            slot.1 = encoded;
-        } else {
-            self.used_bytes += encoded.len();
-            self.entries.push_back((timestamp, encoded));
-        }
-        while self.used_bytes > self.budget_bytes && self.entries.len() > 1 {
-            if let Some((_, old)) = self.entries.pop_front() {
-                self.used_bytes -= old.len();
-            }
-        }
+        self.push_encoded(timestamp, encode_matrix(matrix));
     }
 
     /// Retrieves and decodes the snapshot stored under `timestamp`.
@@ -148,9 +140,13 @@ impl SnapshotStore {
     }
 
     /// Stores pre-encoded snapshot bytes under `timestamp` with the same
-    /// overwrite/eviction semantics as [`SnapshotStore::put`] — the
-    /// append half of delta-checkpoint reconciliation, replaying the
+    /// overwrite/eviction semantics as [`SnapshotStore::put`] (which
+    /// delegates here) — the append half of delta-checkpoint
+    /// reconciliation and the checkpoint decoder's store path, adopting
     /// bytes another store produced without a decode/encode round trip.
+    /// The bytes are kept as given: callers validate them (see
+    /// [`encoded_shape`]) and pass an owned buffer, not a view that would
+    /// pin a larger one.
     pub fn push_encoded(&mut self, timestamp: u64, encoded: Bytes) {
         if let Some(slot) = self.entries.iter_mut().find(|(t, _)| *t == timestamp) {
             self.used_bytes -= slot.1.len();
@@ -188,6 +184,19 @@ mod tests {
         buf.put_u64_le(10);
         buf.put_f64_le(1.0);
         assert!(decode_matrix(buf.freeze()).is_none());
+    }
+
+    #[test]
+    fn encoded_shape_checks_the_header_against_the_length() {
+        let m = DenseMatrix::filled(3, 2, 0.5);
+        let encoded = encode_matrix(&m);
+        assert_eq!(encoded_shape(encoded.as_slice()), Some((3, 2)));
+        let raw = encoded.as_slice();
+        assert_eq!(encoded_shape(&raw[..raw.len() - 1]), None, "short data");
+        assert_eq!(encoded_shape(&raw[..15]), None, "short header");
+        let mut lying = raw.to_vec();
+        lying[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(encoded_shape(&lying), None, "overflowing shape");
     }
 
     #[test]

@@ -11,6 +11,11 @@ use crate::sharded::ShardedEngine;
 
 /// Default bound of the ingest queue (snapshots).
 pub const DEFAULT_QUEUE_DEPTH: usize = 8;
+
+/// Largest ingest-queue bound the builder accepts, and so the largest a
+/// checkpoint may declare.
+pub(crate) const MAX_QUEUE_DEPTH: usize = 1 << 16;
+
 /// Default byte budget of each per-snapshot factor store (64 MiB).
 pub const DEFAULT_STORE_BUDGET_BYTES: usize = 64 << 20;
 
@@ -144,8 +149,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Bound of the ingest queue, in snapshots. Producers block only once
-    /// this many snapshots are pending.
+    /// Bound of the ingest queue, in snapshots (at most 65 536). Producers
+    /// block only once this many snapshots are pending.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -203,10 +208,10 @@ impl EngineBuilder {
     fn try_validate(&self) -> Result<(), TgsError> {
         self.config.try_validate()?;
         self.batch.validate()?;
-        if self.queue_depth == 0 {
+        if self.queue_depth == 0 || self.queue_depth > MAX_QUEUE_DEPTH {
             return Err(TgsError::InvalidConfig {
                 field: "queue_depth",
-                message: "queue_depth must be >= 1".into(),
+                message: format!("queue_depth must be in 1..={}", MAX_QUEUE_DEPTH),
             });
         }
         if self.store_budget_bytes == 0 {

@@ -11,6 +11,19 @@
 //! so a restored engine produces identical results for identical
 //! subsequent snapshots.
 //!
+//! **Single-pass decode.** The decoder reads straight from the
+//! checkpoint's shared buffer (a multi-shard restore hands each section
+//! over as a zero-copy [`Bytes`] view, and
+//! `ShardedEngine::restore` decodes the sections concurrently, one
+//! thread per shard). Fixed-width per-user records — solver history rows
+//! and observation tracks — are parsed in one pass over a slice whose
+//! length the record count has already been checked against. Factor-store
+//! entries are *adopted*, not decoded and re-encoded: each entry's
+//! 16-byte matrix header is validated against its length (the checks
+//! [`decode_matrix`] applies), then one owned copy of the bytes enters
+//! the store — byte-identical to what the old decode → re-encode path
+//! produced, and never a view that would pin the whole checkpoint.
+//!
 //! **Compaction (format v2).** The stores only ever hold what survived
 //! their byte budgets, so budget-evicted factor snapshots are never
 //! serialized; and the solver's `Sfw` window — whose matrices are
@@ -23,12 +36,13 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tgs_core::{
-    decode_matrix, encode_matrix, InitStrategy, OnlineConfig, OnlineSolver, OnlineSolverState,
-    SnapshotStore, TgsError,
+    decode_matrix, encode_matrix, encoded_shape, InitStrategy, OnlineConfig, OnlineSolver,
+    OnlineSolverState, SnapshotStore, TgsError,
 };
 use tgs_linalg::DenseMatrix;
 use tgs_text::{TokenizerConfig, Vocabulary, Weighting};
 
+use crate::builder::MAX_QUEUE_DEPTH;
 use crate::engine::{EngineShared, EngineState};
 use crate::query::TimelineEntry;
 
@@ -52,6 +66,17 @@ impl EngineCheckpoint {
         Self {
             bytes: Bytes::from(data),
         }
+    }
+
+    /// Wraps a view into a larger buffer (one section of a multi-shard
+    /// checkpoint) without copying it.
+    pub(crate) fn from_shared(bytes: Bytes) -> Self {
+        Self { bytes }
+    }
+
+    /// The serialized bytes as a shareable buffer.
+    pub(crate) fn into_shared(self) -> Bytes {
+        self.bytes
     }
 
     /// The serialized byte stream.
@@ -80,10 +105,9 @@ fn corrupt(what: &str) -> TgsError {
 }
 
 pub(crate) fn rd_u64(b: &mut Bytes, what: &str) -> Result<u64, TgsError> {
-    if b.remaining() < 8 {
-        return Err(corrupt(what));
-    }
-    Ok(b.get_u64_le())
+    let v = u64::from_le_bytes(*b.as_slice().first_chunk().ok_or_else(|| corrupt(what))?);
+    b.advance(8);
+    Ok(v)
 }
 
 pub(crate) fn rd_usize(b: &mut Bytes, what: &str) -> Result<usize, TgsError> {
@@ -91,19 +115,13 @@ pub(crate) fn rd_usize(b: &mut Bytes, what: &str) -> Result<usize, TgsError> {
 }
 
 pub(crate) fn rd_f64(b: &mut Bytes, what: &str) -> Result<f64, TgsError> {
-    if b.remaining() < 8 {
-        return Err(corrupt(what));
-    }
-    Ok(b.get_f64_le())
+    rd_u64(b, what).map(f64::from_bits)
 }
 
 pub(crate) fn rd_u8(b: &mut Bytes, what: &str) -> Result<u8, TgsError> {
-    if b.remaining() < 1 {
-        return Err(corrupt(what));
-    }
-    let mut byte = [0u8; 1];
-    b.copy_to_slice(&mut byte);
-    Ok(byte[0])
+    let byte = *b.as_slice().first().ok_or_else(|| corrupt(what))?;
+    b.advance(1);
+    Ok(byte)
 }
 
 pub(crate) fn rd_bool(b: &mut Bytes, what: &str) -> Result<bool, TgsError> {
@@ -129,11 +147,44 @@ fn wr_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
+/// Reads a `count`-prefixed list of fixed-width records — a `u64` key
+/// (mapped through `key`) followed by `k` `f64`s — in one pass: the
+/// count check proves the whole `count × 8(k+1)` run is present, so the
+/// records are cut from that slice without per-field bounds checks.
+pub(crate) fn rd_rows<K>(
+    b: &mut Bytes,
+    k: usize,
+    what: &str,
+    key: impl Fn(u64) -> K,
+) -> Result<Vec<(K, Vec<f64>)>, TgsError> {
+    let record = k.saturating_add(1).saturating_mul(8);
+    let count = rd_count(b, record, what)?;
+    let run = count * record;
+    let rows = b.as_slice()[..run]
+        .chunks_exact(record)
+        .map(|rec| {
+            let (head, values) = rec.split_at(8);
+            let row = values
+                .chunks_exact(8)
+                .map(|v| f64::from_le_bytes(v.try_into().expect("8-byte chunk")))
+                .collect();
+            (
+                key(u64::from_le_bytes(head.try_into().expect("8-byte key"))),
+                row,
+            )
+        })
+        .collect();
+    b.advance(run);
+    Ok(rows)
+}
+
 fn rd_str(b: &mut Bytes, what: &str) -> Result<String, TgsError> {
     let len = rd_count(b, 1, what)?;
-    let mut raw = vec![0u8; len];
-    b.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| corrupt(what))
+    let s = std::str::from_utf8(&b.as_slice()[..len])
+        .map_err(|_| corrupt(what))?
+        .to_owned();
+    b.advance(len);
+    Ok(s)
 }
 
 fn wr_matrix(buf: &mut BytesMut, m: &DenseMatrix) {
@@ -142,11 +193,18 @@ fn wr_matrix(buf: &mut BytesMut, m: &DenseMatrix) {
     buf.put_slice(encoded.as_slice());
 }
 
-fn rd_matrix(b: &mut Bytes, what: &str) -> Result<DenseMatrix, TgsError> {
+/// Reads a length-prefixed [`encode_matrix`] buffer as a view, after
+/// validating its header against the length ([`encoded_shape`]).
+pub(crate) fn rd_encoded(b: &mut Bytes, what: &str) -> Result<Bytes, TgsError> {
     let len = rd_count(b, 1, what)?;
-    let mut raw = vec![0u8; len];
-    b.copy_to_slice(&mut raw);
-    decode_matrix(Bytes::from(raw)).ok_or_else(|| corrupt(what))
+    let view = b.slice(..len);
+    b.advance(len);
+    encoded_shape(view.as_slice()).ok_or_else(|| corrupt(what))?;
+    Ok(view)
+}
+
+pub(crate) fn rd_matrix(b: &mut Bytes, what: &str) -> Result<DenseMatrix, TgsError> {
+    decode_matrix(rd_encoded(b, what)?).ok_or_else(|| corrupt(what))
 }
 
 fn init_to_u8(init: InitStrategy) -> u8 {
@@ -199,6 +257,15 @@ pub(crate) fn wr_timeline_entry(buf: &mut BytesMut, entry: &TimelineEntry) {
     for &v in &entry.user_counts {
         buf.put_u64_le(v as u64);
     }
+}
+
+/// Smallest serialized size of one timeline entry — the `rd_count`
+/// floor for timeline lists (saturating, so a corrupt `k` cannot wrap).
+pub(crate) fn timeline_entry_floor(k: usize) -> usize {
+    k.saturating_mul(2)
+        .saturating_add(7)
+        .saturating_mul(8)
+        .saturating_add(1)
 }
 
 /// Inverse of [`wr_timeline_entry`].
@@ -365,13 +432,12 @@ pub(crate) fn decode(
     if b.remaining() < MAGIC.len() {
         return Err(corrupt("magic header"));
     }
-    let mut magic = [0u8; 8];
-    b.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if !b.as_slice().starts_with(MAGIC) {
         return Err(TgsError::corrupt(
             "unrecognized magic header (not a tgs-engine checkpoint, or a newer format version)",
         ));
     }
+    b.advance(MAGIC.len());
 
     // --- Configuration ---
     let k = rd_usize(&mut b, "k")?;
@@ -389,8 +455,17 @@ pub(crate) fn decode(
         init: init_from_u8(rd_u8(&mut b, "init")?)?,
         track_objective: rd_bool(&mut b, "track_objective")?,
     };
-    config.try_validate()?;
+    // A checkpoint only ever carries a configuration the builder
+    // accepted, so an out-of-domain field means corrupt bytes.
+    config
+        .try_validate()
+        .map_err(|e| TgsError::corrupt(format!("invalid configuration: {e}")))?;
     let queue_depth = rd_usize(&mut b, "queue_depth")?.max(1);
+    // The queue's slots are allocated up front: a corrupt depth must
+    // fail the restore, not the allocator.
+    if queue_depth > MAX_QUEUE_DEPTH {
+        return Err(corrupt("queue_depth"));
+    }
     let tokenizer = TokenizerConfig {
         min_token_len: rd_usize(&mut b, "min_token_len")?,
         keep_mentions: rd_bool(&mut b, "keep_mentions")?,
@@ -445,21 +520,14 @@ pub(crate) fn decode(
     let mut history_rows = Vec::with_capacity(history_users);
     for _ in 0..history_users {
         let user = rd_usize(&mut b, "history user id")?;
-        let entry_count = rd_count(&mut b, 8 * (k + 1), "history entry count")?;
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let step = rd_u64(&mut b, "history entry step")? as i64;
-            let mut row = Vec::with_capacity(k);
-            for _ in 0..k {
-                row.push(rd_f64(&mut b, "history entry value")?);
-            }
-            entries.push((step, row));
-        }
-        history_rows.push((user, entries));
+        history_rows.push((
+            user,
+            rd_rows(&mut b, k, "history entry count", |step| step as i64)?,
+        ));
     }
 
     // --- Timeline ---
-    let timeline_len = rd_count(&mut b, 8 * (7 + 2 * k) + 1, "timeline length")?;
+    let timeline_len = rd_count(&mut b, timeline_entry_floor(k), "timeline length")?;
     let mut timeline = std::collections::BTreeMap::new();
     for _ in 0..timeline_len {
         let entry = rd_timeline_entry(&mut b, k)?;
@@ -471,20 +539,10 @@ pub(crate) fn decode(
     let mut user_track = std::collections::HashMap::with_capacity(track_users);
     for _ in 0..track_users {
         let user = rd_usize(&mut b, "user track id")?;
-        let obs_count = rd_count(&mut b, 8 * (k + 1), "user observation count")?;
-        let mut track = Vec::with_capacity(obs_count);
-        for _ in 0..obs_count {
-            let t = rd_u64(&mut b, "user observation timestamp")?;
-            let mut dist = Vec::with_capacity(k);
-            for _ in 0..k {
-                dist.push(rd_f64(&mut b, "user observation value")?);
-            }
-            track.push((t, dist));
-        }
-        user_track.insert(user, track);
+        user_track.insert(user, rd_rows(&mut b, k, "user observation count", |t| t)?);
     }
 
-    // --- Factor stores ---
+    // --- Factor stores (validated bytes adopted as-is) ---
     let mut stores = Vec::with_capacity(2);
     for name in ["sf store", "sp store"] {
         let budget = rd_usize(&mut b, name)?;
@@ -492,8 +550,8 @@ pub(crate) fn decode(
         let entries = rd_count(&mut b, 16, name)?;
         for _ in 0..entries {
             let t = rd_u64(&mut b, name)?;
-            let matrix = rd_matrix(&mut b, name)?;
-            store.put(t, &matrix);
+            let entry = rd_encoded(&mut b, name)?;
+            store.push_encoded(t, Bytes::copy_from_slice(entry.as_slice()));
         }
         stores.push(store);
     }
@@ -560,51 +618,159 @@ pub(crate) fn decode(
     Ok((shared, solver, state))
 }
 
+/// White-box walks of the serialized layout, shared by the codec tests
+/// here and the multi-shard restore tests.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod layout {
+    use super::MAGIC;
 
-    /// Byte-offset cursor for white-box walks of the serialized layout.
-    struct Walk<'a> {
-        buf: &'a [u8],
-        pos: usize,
+    /// End of the fixed-width configuration header (magic → weighting).
+    pub(crate) const CONFIG_END: usize = 8 + 8 + 4 * 8 + (8 + 1 + 8 + 8 + 8 + 2) + (8 + 8 + 3);
+
+    /// Byte-offset cursor over a valid checkpoint.
+    pub(crate) struct Walk<'a> {
+        pub buf: &'a [u8],
+        pub pos: usize,
+    }
+
+    /// Offsets of the fields a mutation test targets.
+    #[derive(Debug, Default)]
+    pub(crate) struct Fields {
+        /// Every list count and byte length the decoder bounds with
+        /// `rd_count` (store-entry lengths included).
+        pub counts: Vec<usize>,
+        /// Factor-store entry lengths.
+        pub entry_lens: Vec<usize>,
+        /// 16-byte `rows | cols` matrix headers (prior, inline window
+        /// entries, store entries).
+        pub matrix_heads: Vec<usize>,
     }
 
     impl<'a> Walk<'a> {
-        fn skip(&mut self, n: usize) {
+        pub fn skip(&mut self, n: usize) {
             self.pos += n;
         }
 
-        fn u64(&mut self) -> u64 {
+        pub fn u64(&mut self) -> u64 {
             let v = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
             self.pos += 8;
             v
         }
 
-        fn u8(&mut self) -> u8 {
+        pub fn u8(&mut self) -> u8 {
             let v = self.buf[self.pos];
             self.pos += 1;
             v
         }
 
+        /// Reads a count field, recording its offset.
+        fn count(&mut self, f: &mut Fields) -> usize {
+            f.counts.push(self.pos);
+            self.u64() as usize
+        }
+
+        /// Skips a length-prefixed matrix, recording both headers.
+        fn matrix(&mut self, f: &mut Fields) {
+            let len = self.count(f);
+            f.matrix_heads.push(self.pos);
+            self.skip(len);
+        }
+
         /// Advances past the header up to the first Sf-window entry.
-        fn seek_window(&mut self) -> usize {
+        pub fn seek_window(&mut self) -> usize {
+            self.seek_window_recording(&mut Fields::default()).1
+        }
+
+        /// [`Walk::seek_window`], recording fields; also returns `k`.
+        fn seek_window_recording(&mut self, f: &mut Fields) -> (usize, usize) {
             self.skip(MAGIC.len());
-            self.skip(8); // k
+            let k = self.u64() as usize;
             self.skip(4 * 8); // alpha, beta, gamma, tau
             self.skip(8 + 1 + 8 + 8 + 8 + 2); // window..init+track flags
             self.skip(8 + 8 + 3); // queue_depth, min_token_len, tokenizer+weighting
-            let vocab_len = self.u64() as usize;
+            debug_assert_eq!(self.pos, CONFIG_END);
+            let vocab_len = self.count(f);
             for _ in 0..vocab_len {
-                let token_len = self.u64() as usize;
+                let token_len = self.count(f);
                 self.skip(token_len);
             }
-            let sf0_len = self.u64() as usize;
-            self.skip(sf0_len);
+            self.matrix(f); // sf0
             self.skip(8); // solver steps
-            self.u64() as usize // window length
+            (k, self.count(f))
+        }
+
+        /// Skips `count`-prefixed `(u64 id, count, records)` user lists.
+        fn user_rows(&mut self, f: &mut Fields, k: usize) {
+            let users = self.count(f);
+            for _ in 0..users {
+                self.skip(8); // user id
+                let records = self.count(f);
+                self.skip(records * 8 * (k + 1));
+            }
         }
     }
+
+    /// Walks a whole valid single-engine checkpoint, listing its fields.
+    pub(crate) fn fields(buf: &[u8]) -> Fields {
+        let mut f = Fields::default();
+        let mut w = Walk { buf, pos: 0 };
+        let (k, window_len) = w.seek_window_recording(&mut f);
+        for _ in 0..window_len {
+            match w.u8() {
+                1 => w.skip(8),
+                _ => w.matrix(&mut f),
+            }
+        }
+        w.skip(8); // history step
+        w.user_rows(&mut f, k);
+        let timeline_len = w.count(&mut f);
+        w.skip(timeline_len * (8 * (7 + 2 * k) + 1));
+        w.user_rows(&mut f, k);
+        for _ in 0..2 {
+            w.skip(8); // budget
+            let entries = w.count(&mut f);
+            for _ in 0..entries {
+                w.skip(8); // timestamp
+                f.entry_lens.push(w.pos);
+                w.matrix(&mut f);
+            }
+        }
+        assert_eq!(w.pos, buf.len(), "walk must end at the last byte");
+        f
+    }
+
+    /// Deterministic offsets for seeded mutation cases (splitmix64).
+    pub(crate) fn seeded_offsets(seed: u64, n: usize, len: usize) -> Vec<usize> {
+        let mut z = seed;
+        (0..n)
+            .map(|_| {
+                z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut x = z;
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((x ^ (x >> 31)) % len as u64) as usize
+            })
+            .collect()
+    }
+
+    /// The lies a mutation test writes over a count field at `at`:
+    /// `u64::MAX`, and one more than the bytes that follow the field.
+    pub(crate) fn count_lies(buf: &[u8], at: usize) -> [u64; 2] {
+        [u64::MAX, (buf.len() - at - 8) as u64 + 1]
+    }
+
+    /// Matrix headers that cannot match their entry's length: a row too
+    /// many, an overflowing row count, a column count with the top bit
+    /// set. (A rows/cols swap keeps the length and may still decode.)
+    pub(crate) fn head_lies(rows: u64, cols: u64) -> [(u64, u64); 3] {
+        [(rows + 1, cols), (u64::MAX, cols), (rows, cols | 1 << 63)]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::layout::{self, Walk};
+    use super::*;
 
     /// Walks a serialized checkpoint up to the Sf-window section and
     /// returns each entry's compaction tag (1 = store reference,
@@ -700,6 +866,59 @@ mod tests {
         assert!(matches!(err, TgsError::CorruptCheckpoint { .. }));
     }
 
+    /// A hand-built checkpoint head: a valid configuration with `k`
+    /// clusters, an empty vocabulary, a `0×k` prior, no window, and the
+    /// history step — everything up to the history user count.
+    fn empty_vocab_head(k: u64) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u64_le(k);
+        for v in [0.5, 0.5, 0.5, 0.5] {
+            buf.put_f64_le(v); // alpha, beta, gamma, tau
+        }
+        buf.put_u64_le(3); // window
+        buf.put_slice(&[1]); // normalize_window
+        buf.put_u64_le(4); // max_iters
+        buf.put_f64_le(0.0); // tol
+        buf.put_u64_le(7); // seed
+        buf.put_slice(&[1, 0]); // init, track_objective
+        buf.put_u64_le(8); // queue_depth
+        buf.put_u64_le(2); // min_token_len
+        buf.put_slice(&[0, 0, 0]); // tokenizer flags, weighting
+        buf.put_u64_le(0); // vocabulary length
+        buf.put_u64_le(16); // prior: a 0×k matrix is just its header
+        buf.put_u64_le(0);
+        buf.put_u64_le(k);
+        buf.put_u64_le(0); // solver steps
+        buf.put_u64_le(0); // window length
+        buf.put_u64_le(0); // history step
+        buf
+    }
+
+    #[test]
+    fn a_huge_k_cannot_overflow_the_record_size_checks() {
+        // An empty vocabulary lets any `k` pass the prior's shape check,
+        // so the per-record size arithmetic must not wrap on it.
+        let k = 1u64 << 61;
+        let mut history = empty_vocab_head(k);
+        history.put_u64_le(1); // one history user...
+        history.put_u64_le(0); // ...id 0...
+        history.put_u64_le(1); // ...with one record of 8(k+1) bytes
+        history.put_u64_le(0);
+        let mut timeline = empty_vocab_head(k);
+        timeline.put_u64_le(0); // no history users
+        timeline.put_u64_le(1); // one timeline entry of 8(7+2k)+1 bytes
+        timeline.put_u64_le(0);
+        for (case, buf) in [("history", history), ("timeline", timeline)] {
+            let bytes = buf.freeze().as_slice().to_vec();
+            match decode(&EngineCheckpoint::from_bytes(bytes)) {
+                Err(TgsError::CorruptCheckpoint { .. }) => {}
+                Err(e) => panic!("{case}: {e:?}"),
+                Ok(_) => panic!("{case}: decoded"),
+            }
+        }
+    }
+
     #[test]
     fn garbage_is_rejected_not_panicked() {
         for bad in [
@@ -734,5 +953,124 @@ mod tests {
             assert!(decode(&ckpt).is_err(), "prefix of {cut} bytes decoded");
         }
         assert!(decode(&EngineCheckpoint::from_bytes(full)).is_ok());
+    }
+
+    /// Restores mutated bytes: the outcome must be a `CorruptCheckpoint`
+    /// error or an engine that answers queries and checkpoints again —
+    /// never a panic. Returns whether it restored.
+    fn restore_or_corrupt(bytes: Vec<u8>, case: &str) -> bool {
+        match crate::SentimentEngine::restore(&EngineCheckpoint::from_bytes(bytes)) {
+            Ok(engine) => {
+                engine.query().timeline(..);
+                engine.checkpoint().expect(case);
+                true
+            }
+            Err(e) => {
+                assert!(
+                    matches!(e, TgsError::CorruptCheckpoint { .. }),
+                    "{case}: {e:?}"
+                );
+                false
+            }
+        }
+    }
+
+    fn put_u64(buf: &mut [u8], at: usize, v: u64) {
+        buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn get_u64(buf: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn mutated_checkpoints_fail_typed_or_restore() {
+        // A generous budget (window as store references) and a starving
+        // one (evictions, inline window) cover both window encodings.
+        for (case, budget) in [("roomy", 64 << 20), ("evicting", 4 << 10)] {
+            let full = streamed_engine(3, budget).checkpoint().unwrap();
+            let full = full.as_bytes();
+            let fields = layout::fields(full);
+            assert!(fields.counts.len() > 50 && !fields.entry_lens.is_empty());
+
+            for &at in &fields.counts {
+                for lie in layout::count_lies(full, at) {
+                    let mut bad = full.to_vec();
+                    put_u64(&mut bad, at, lie);
+                    assert!(
+                        !restore_or_corrupt(bad, &format!("{case}: count @{at} = {lie}")),
+                        "{case}: a count of {lie} @{at} restored"
+                    );
+                }
+            }
+            for &at in &fields.entry_lens {
+                let len = get_u64(full, at);
+                for lie in [len - 8, len - 1, len + 1, len + 8] {
+                    let mut bad = full.to_vec();
+                    put_u64(&mut bad, at, lie);
+                    assert!(
+                        !restore_or_corrupt(bad, &format!("{case}: entry length @{at}")),
+                        "{case}: entry length {lie} (really {len}) @{at} restored"
+                    );
+                }
+            }
+            for &at in &fields.matrix_heads {
+                let (rows, cols) = (get_u64(full, at), get_u64(full, at + 8));
+                for (r, c) in layout::head_lies(rows, cols) {
+                    let mut bad = full.to_vec();
+                    put_u64(&mut bad, at, r);
+                    put_u64(&mut bad, at + 8, c);
+                    assert!(
+                        !restore_or_corrupt(bad, &format!("{case}: matrix head @{at}")),
+                        "{case}: matrix head {r}×{c} (really {rows}×{cols}) @{at} restored"
+                    );
+                }
+                let mut swapped = full.to_vec();
+                put_u64(&mut swapped, at, cols);
+                put_u64(&mut swapped, at + 8, rows);
+                restore_or_corrupt(swapped, &format!("{case}: swapped head @{at}"));
+            }
+            // Every bit of the configuration header (an out-of-domain
+            // value is corruption too, not a config error or a huge queue).
+            for at in MAGIC.len()..layout::CONFIG_END {
+                for bit in 0..8 {
+                    let mut bad = full.to_vec();
+                    bad[at] ^= 1 << bit;
+                    restore_or_corrupt(bad, &format!("{case}: config bit {bit} @{at}"));
+                }
+            }
+            for (i, at) in layout::seeded_offsets(0xC0FFEE, 400, full.len())
+                .into_iter()
+                .enumerate()
+            {
+                let mut bad = full.to_vec();
+                bad[at] ^= 1 << (i % 8);
+                restore_or_corrupt(bad, &format!("{case}: bit {} @{at}", i % 8));
+            }
+        }
+    }
+
+    #[test]
+    fn adopted_store_bytes_equal_the_decode_reencode_path() {
+        // The decoder adopts store entries instead of decoding and
+        // re-putting them; both paths must build the same stores.
+        let ckpt = streamed_engine(3, 4 << 10).checkpoint().unwrap();
+        let (_, _, state) = decode(&ckpt).unwrap();
+        assert!(
+            ckpt.bytes.is_unique(),
+            "adopted entries must be copies, not views pinning the checkpoint"
+        );
+        for adopted in [&state.sf_store, &state.sp_store] {
+            let mut reput = SnapshotStore::new(adopted.budget_bytes());
+            for (t, bytes) in adopted.iter() {
+                reput.put(t, &decode_matrix(bytes).unwrap());
+            }
+            assert!(!adopted.is_empty());
+            assert_eq!(
+                adopted.iter().collect::<Vec<_>>(),
+                reput.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(adopted.used_bytes(), reput.used_bytes());
+        }
     }
 }

@@ -31,12 +31,12 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tgs_core::{decode_matrix, OnlineSolver, OnlineSolverState, SnapshotStore, TgsError};
+use tgs_core::{OnlineSolver, OnlineSolverState, SnapshotStore, TgsError};
 use tgs_linalg::DenseMatrix;
 
 use crate::checkpoint::{
-    self, rd_count, rd_f64, rd_timeline_entry, rd_u64, rd_u8, rd_usize, wr_timeline_entry,
-    EngineCheckpoint,
+    self, rd_count, rd_encoded, rd_matrix, rd_rows, rd_timeline_entry, rd_u64, rd_u8, rd_usize,
+    timeline_entry_floor, wr_timeline_entry, EngineCheckpoint,
 };
 use crate::engine::{EngineShared, EngineState};
 use crate::query::TimelineEntry;
@@ -186,6 +186,12 @@ impl CheckpointDelta {
         Self {
             bytes: Bytes::from(data),
         }
+    }
+
+    /// Wraps a view into a larger buffer (one slot of a multi-shard
+    /// delta) without copying it.
+    pub(crate) fn from_shared(bytes: Bytes) -> Self {
+        Self { bytes }
     }
 
     /// The serialized byte stream.
@@ -447,10 +453,8 @@ fn rd_store_diff(b: &mut Bytes) -> Result<StoreDiff, TgsError> {
     let mut appended = Vec::with_capacity(appended_n);
     for _ in 0..appended_n {
         let t = rd_u64(b, "store appended timestamp")?;
-        let len = rd_count(b, 1, "store appended length")?;
-        let mut raw = vec![0u8; len];
-        b.copy_to_slice(&mut raw);
-        appended.push((t, Bytes::from(raw)));
+        let entry = rd_encoded(b, "store appended entry")?;
+        appended.push((t, Bytes::copy_from_slice(entry.as_slice())));
     }
     Ok((removed, appended))
 }
@@ -510,14 +514,10 @@ pub fn apply_delta(
     let mut window_entries = Vec::with_capacity(window_len);
     for _ in 0..window_len {
         match rd_u8(&mut b, "sf window entry tag")? {
-            0 => {
-                let len = rd_count(&mut b, 1, "sf window snapshot")?;
-                let mut raw = vec![0u8; len];
-                b.copy_to_slice(&mut raw);
-                let m =
-                    decode_matrix(Bytes::from(raw)).ok_or_else(|| corrupt("sf window snapshot"))?;
-                window_entries.push(WindowEntry::Inline(m));
-            }
+            0 => window_entries.push(WindowEntry::Inline(rd_matrix(
+                &mut b,
+                "sf window snapshot",
+            )?)),
             1 => window_entries.push(WindowEntry::Ref(rd_u64(&mut b, "sf window reference")?)),
             _ => return Err(corrupt("sf window entry tag")),
         }
@@ -526,19 +526,12 @@ pub fn apply_delta(
     let mut touched_rows: UserRowAppends<i64> = Vec::with_capacity(touched_n);
     for _ in 0..touched_n {
         let user = rd_usize(&mut b, "touched user id")?;
-        let entry_count = rd_count(&mut b, 8 * (k + 1), "touched entry count")?;
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let step = rd_u64(&mut b, "touched entry step")? as i64;
-            let mut row = Vec::with_capacity(k);
-            for _ in 0..k {
-                row.push(rd_f64(&mut b, "touched entry value")?);
-            }
-            entries.push((step, row));
-        }
-        touched_rows.push((user, entries));
+        touched_rows.push((
+            user,
+            rd_rows(&mut b, k, "touched entry count", |step| step as i64)?,
+        ));
     }
-    let timeline_n = rd_count(&mut b, 8 * (7 + 2 * k) + 1, "timeline entry count")?;
+    let timeline_n = rd_count(&mut b, timeline_entry_floor(k), "timeline entry count")?;
     let mut new_entries: Vec<TimelineEntry> = Vec::with_capacity(timeline_n);
     for _ in 0..timeline_n {
         new_entries.push(rd_timeline_entry(&mut b, k)?);
@@ -547,17 +540,7 @@ pub fn apply_delta(
     let mut track_appends: UserRowAppends<u64> = Vec::with_capacity(track_n);
     for _ in 0..track_n {
         let user = rd_usize(&mut b, "track user id")?;
-        let obs_count = rd_count(&mut b, 8 * (k + 1), "track append count")?;
-        let mut obs = Vec::with_capacity(obs_count);
-        for _ in 0..obs_count {
-            let t = rd_u64(&mut b, "track append timestamp")?;
-            let mut dist = Vec::with_capacity(k);
-            for _ in 0..k {
-                dist.push(rd_f64(&mut b, "track append value")?);
-            }
-            obs.push((t, dist));
-        }
-        track_appends.push((user, obs));
+        track_appends.push((user, rd_rows(&mut b, k, "track append count", |t| t)?));
     }
     let (sf_removed, sf_appended) = rd_store_diff(&mut b)?;
     let (sp_removed, sp_appended) = rd_store_diff(&mut b)?;

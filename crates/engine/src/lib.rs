@@ -105,6 +105,12 @@ mod tests {
             .err()
             .expect("queue depth zero");
         assert_eq!(err.kind(), TgsErrorKind::InvalidConfig);
+        let err = EngineBuilder::new()
+            .queue_depth(usize::MAX)
+            .fit(&corpus())
+            .err()
+            .expect("queue depth beyond the bound");
+        assert_eq!(err.kind(), TgsErrorKind::InvalidConfig);
     }
 
     #[test]

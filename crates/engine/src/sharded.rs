@@ -113,7 +113,11 @@ impl ShardedCheckpoint {
     /// a complete single-engine checkpoint byte stream.
     pub fn sections(&self) -> Result<Vec<Vec<u8>>, TgsError> {
         let header = decode_header(&self.bytes)?;
-        Ok(header.sections)
+        Ok(header
+            .sections
+            .iter()
+            .map(|s| s.as_slice().to_vec())
+            .collect())
     }
 }
 
@@ -205,7 +209,7 @@ impl ShardedDelta {
                 .iter()
                 .map(|s| match s {
                     DeltaSection::Delta(bytes) => {
-                        crate::CheckpointDelta::from_bytes(bytes.clone()).new_id()
+                        crate::CheckpointDelta::from_shared(bytes.clone()).new_id()
                     }
                     DeltaSection::Base(id, _) => Ok(*id),
                 })
@@ -214,13 +218,14 @@ impl ShardedDelta {
     }
 }
 
-/// One slot's payload inside a [`ShardedDelta`].
+/// One slot's payload inside a [`ShardedDelta`], as a view into the
+/// delta's buffer.
 enum DeltaSection {
     /// An incremental [`crate::CheckpointDelta`] byte stream.
-    Delta(Vec<u8>),
+    Delta(Bytes),
     /// A full checkpoint-base fallback: the new mark id plus the whole
     /// single-engine checkpoint section.
-    Base(u64, Vec<u8>),
+    Base(u64, Bytes),
 }
 
 /// Parses a multi-shard delta into its declared fingerprint and
@@ -263,8 +268,8 @@ fn decode_delta_sections(bytes: &Bytes) -> Result<(u64, Vec<DeltaSection>), TgsE
                 b.remaining()
             )));
         }
-        let mut raw = vec![0u8; len];
-        b.copy_to_slice(&mut raw);
+        let raw = b.slice(..len);
+        b.advance(len);
         sections.push(match base_id {
             None => DeltaSection::Delta(raw),
             Some(id) => DeltaSection::Base(id, raw),
@@ -293,7 +298,9 @@ fn rd_u64(b: &mut Bytes, what: &str) -> Result<u64, TgsError> {
 struct ShardedHeader {
     map: PartitionMap,
     ghost_mode: bool,
-    sections: Vec<Vec<u8>>,
+    /// Per-shard sections in shard order, as zero-copy views into the
+    /// checkpoint's buffer.
+    sections: Vec<Bytes>,
 }
 
 /// Parses either header version and splits off the per-shard sections.
@@ -379,9 +386,8 @@ fn decode_header(bytes: &Bytes) -> Result<ShardedHeader, TgsError> {
                 b.remaining()
             )));
         }
-        let mut raw = vec![0u8; len];
-        b.copy_to_slice(&mut raw);
-        sections.push(raw);
+        sections.push(b.slice(..len));
+        b.advance(len);
     }
     if b.remaining() != 0 {
         return Err(TgsError::corrupt(format!(
@@ -400,13 +406,13 @@ fn decode_header(bytes: &Bytes) -> Result<ShardedHeader, TgsError> {
 /// shared by full checkpoints, base checkpoints, and delta application,
 /// so a reassembled checkpoint is byte-identical to a directly taken
 /// one given equal sections and topology.
-fn assemble_sharded(
+fn assemble_sharded<S: AsRef<[u8]>>(
     map: &PartitionMap,
     ghost_mode: bool,
-    sections: &[Vec<u8>],
+    sections: &[S],
 ) -> ShardedCheckpoint {
     let mut buf = BytesMut::with_capacity(
-        64 + 8 * map.shards() + sections.iter().map(|s| s.len() + 8).sum::<usize>(),
+        64 + 8 * map.shards() + sections.iter().map(|s| s.as_ref().len() + 8).sum::<usize>(),
     );
     buf.put_slice(SHARD_MAGIC_V2);
     buf.put_u64_le(map.shards() as u64);
@@ -417,6 +423,7 @@ fn assemble_sharded(
     }
     buf.put_u64_le(map.fingerprint());
     for section in sections {
+        let section = section.as_ref();
         buf.put_u64_le(section.len() as u64);
         buf.put_slice(section);
     }
@@ -1259,14 +1266,13 @@ impl ShardedEngine {
             .zip(slot_deltas)
             .map(|(section, slot)| match slot {
                 DeltaSection::Delta(d) => Ok(SentimentEngine::apply_delta(
-                    &EngineCheckpoint::from_bytes(section),
-                    &crate::CheckpointDelta::from_bytes(d),
+                    &EngineCheckpoint::from_shared(section),
+                    &crate::CheckpointDelta::from_shared(d),
                 )?
-                .as_bytes()
-                .to_vec()),
+                .into_shared()),
                 DeltaSection::Base(_, fresh) => Ok(fresh),
             })
-            .collect::<Result<Vec<Vec<u8>>, TgsError>>()?;
+            .collect::<Result<Vec<Bytes>, TgsError>>()?;
         Ok(assemble_sharded(&header.map, header.ghost_mode, &sections))
     }
 
@@ -1276,13 +1282,24 @@ impl ShardedEngine {
     /// decodes, so a restore can never silently re-route users. v1
     /// headers restore with the equivalent explicit map and ghost mode
     /// off (the v1 fleets always dropped cross-shard edges).
+    ///
+    /// Sections decode concurrently, straight from views into the
+    /// checkpoint's buffer, one thread per shard; the first failing
+    /// shard's error is the one reported. Every section must carry shard
+    /// 0's vocabulary and cluster count — the fleet invariant a router
+    /// relies on.
     pub fn restore(ckpt: &ShardedCheckpoint) -> Result<Self, TgsError> {
         let header = decode_header(&ckpt.bytes)?;
-        let workers = header
-            .sections
-            .into_iter()
-            .map(|raw| SentimentEngine::restore(&EngineCheckpoint::from_bytes(raw)))
-            .collect::<Result<Vec<_>, _>>()?;
+        let workers = restore_sections(&header.sections)?;
+        let (k, vocab) = (workers[0].config().k, workers[0].vocabulary().tokens());
+        if let Some(i) = workers
+            .iter()
+            .position(|w| w.config().k != k || w.vocabulary().tokens() != vocab)
+        {
+            return Err(TgsError::corrupt(format!(
+                "shard {i} section disagrees with shard 0 on the vocabulary or cluster count"
+            )));
+        }
         Ok(Self::start(header.map, workers, header.ghost_mode))
     }
 
@@ -1445,6 +1462,38 @@ where
             .map(|h| h.join().expect("fan-out worker panicked"))
             .collect()
     })
+}
+
+/// Restores one engine per checkpoint section, concurrently: the first
+/// section on the calling thread, each other on its own scoped thread —
+/// the one-thread-per-shard rule the engine workers follow, with no
+/// thread spawned for a single section. Every outcome is collected in
+/// shard order before any is inspected, so when several sections fail
+/// the lowest shard's error is reported, and the engines restored from
+/// the other sections drop (joining their workers) before this returns.
+fn restore_sections(sections: &[Bytes]) -> Result<Vec<SentimentEngine>, TgsError> {
+    let restore =
+        |section: &Bytes| SentimentEngine::restore(&EngineCheckpoint::from_shared(section.clone()));
+    let Some((first, rest)) = sections.split_first() else {
+        return Ok(Vec::new());
+    };
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let others: Vec<_> = rest
+            .iter()
+            .map(|section| s.spawn(move || restore(section)))
+            .collect();
+        let mut outcomes = Vec::with_capacity(sections.len());
+        outcomes.push(restore(first));
+        for handle in others {
+            outcomes.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        outcomes
+    });
+    outcomes.into_iter().collect()
 }
 
 /// Flushes every worker, reporting the first failure after draining all.
@@ -2105,6 +2154,10 @@ mod tests {
         assert_eq!(ckpt.sections().unwrap().len(), 2);
 
         let restored = ShardedEngine::restore(&ckpt).unwrap();
+        assert!(
+            ckpt.bytes.is_unique(),
+            "restored engines must not pin the checkpoint buffer"
+        );
         assert_eq!(restored.shards(), 2);
         assert_eq!(restored.map(), engine.map());
         assert_eq!(
@@ -2149,6 +2202,144 @@ mod tests {
             ShardedEngine::restore(&ShardedCheckpoint::from_bytes(full[..cut].to_vec())).is_err()
         );
         assert!(ShardedEngine::restore(&ShardedCheckpoint::from_bytes(full)).is_ok());
+    }
+
+    /// `(start, len)` of every section in a v2 multi-shard checkpoint.
+    fn section_spans(full: &[u8], shards: usize) -> Vec<(usize, usize)> {
+        // magic(8) + shards(8) + universe(8) + ghost(1) + starts + fingerprint(8)
+        let mut pos = 8 + 8 + 8 + 1 + 8 * shards + 8;
+        (0..shards)
+            .map(|_| {
+                let len = u64::from_le_bytes(full[pos..pos + 8].try_into().unwrap()) as usize;
+                pos += 8 + len;
+                (pos - len, len)
+            })
+            .collect()
+    }
+
+    /// Like the single-engine check: a restore of mutated bytes must fail
+    /// as `CorruptCheckpoint` or yield a fleet that answers and
+    /// checkpoints. Returns whether it restored.
+    fn restore_or_corrupt(bytes: Vec<u8>, case: &str) -> bool {
+        match ShardedEngine::restore(&ShardedCheckpoint::from_bytes(bytes)) {
+            Ok(engine) => {
+                engine.query().timeline(..).expect(case);
+                engine.checkpoint().expect(case);
+                engine.shutdown().expect(case);
+                true
+            }
+            Err(e) => {
+                assert!(
+                    matches!(e, TgsError::CorruptCheckpoint { .. }),
+                    "{case}: {e:?}"
+                );
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_second_section_fails_the_parallel_restore_typed() {
+        use crate::checkpoint::layout;
+        let c = corpus();
+        let engine = sharded(&c, 2);
+        stream(&engine, &c);
+        let full = engine.checkpoint().unwrap().as_bytes().to_vec();
+        let (start, len) = section_spans(&full, 2)[1];
+        let section = &full[start..start + len];
+        let fields = layout::fields(section);
+        let put = |at: usize, v: u64| {
+            let mut bad = full.clone();
+            bad[start + at..start + at + 8].copy_from_slice(&v.to_le_bytes());
+            bad
+        };
+        for &at in &fields.counts {
+            for lie in layout::count_lies(section, at) {
+                assert!(!restore_or_corrupt(put(at, lie), &format!("count @{at}")));
+            }
+        }
+        for &at in &fields.entry_lens {
+            let real = u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
+            assert!(!restore_or_corrupt(
+                put(at, real + 8),
+                &format!("entry @{at}")
+            ));
+        }
+        for &at in &fields.matrix_heads {
+            let rows = u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
+            assert!(!restore_or_corrupt(
+                put(at, rows + 1),
+                &format!("head @{at}")
+            ));
+        }
+        // Seeded bit flips anywhere: the topology header and both sections.
+        for (i, at) in layout::seeded_offsets(0x5EC7, 300, full.len())
+            .into_iter()
+            .enumerate()
+        {
+            let mut bad = full.clone();
+            bad[at] ^= 1 << (i % 8);
+            restore_or_corrupt(bad, &format!("bit {} @{at}", i % 8));
+        }
+        assert!(restore_or_corrupt(full, "untouched"));
+    }
+
+    #[test]
+    fn the_lowest_failing_shard_reports_its_error() {
+        let c = corpus();
+        let engine = sharded(&c, 4);
+        stream(&engine, &c);
+        let full = engine.checkpoint().unwrap().as_bytes().to_vec();
+        let spans = section_spans(&full, 4);
+        // Shard 1's magic breaks; shards 2 and 3 claim a huge vocabulary.
+        let mut bad = full.clone();
+        bad[spans[1].0] ^= 0xFF;
+        for &(start, _) in &spans[2..] {
+            let at = start + crate::checkpoint::layout::CONFIG_END;
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        }
+        for _ in 0..8 {
+            let err = ShardedEngine::restore(&ShardedCheckpoint::from_bytes(bad.clone()))
+                .err()
+                .expect("corrupt sections must fail");
+            assert!(matches!(err, TgsError::CorruptCheckpoint { .. }));
+            let msg = err.to_string();
+            assert!(
+                msg.contains("magic") && !msg.contains("vocabulary"),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn sections_from_different_fleets_are_rejected() {
+        let c = corpus();
+        let other = generate(&GeneratorConfig {
+            num_users: 24,
+            total_tweets: 200,
+            num_days: 8,
+            seed: 99,
+            ..Default::default()
+        });
+        let a = sharded(&c, 2);
+        let b = sharded(&other, 2);
+        stream(&a, &c);
+        stream(&b, &other);
+        assert_ne!(a.vocabulary().tokens(), b.vocabulary().tokens());
+        let (ca, cb) = (a.checkpoint().unwrap(), b.checkpoint().unwrap());
+        let mixed = assemble_sharded(
+            &a.map(),
+            false,
+            &[
+                ca.sections().unwrap()[0].clone(),
+                cb.sections().unwrap()[1].clone(),
+            ],
+        );
+        let err = ShardedEngine::restore(&mixed).err().expect("mixed fleets");
+        assert!(
+            err.to_string().contains("shard 1 section disagrees"),
+            "{err}"
+        );
     }
 
     #[test]

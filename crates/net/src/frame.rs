@@ -40,15 +40,42 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn read_body(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+/// Reads a frame body of `len` bytes as its fixed `N`-byte head (whose
+/// first byte must be [`WIRE_VERSION`]) plus the `len − N`-byte payload. The payload
+/// buffer grows as bytes arrive — geometrically, but never past `len` —
+/// so an honest frame ends with exactly its length allocated, and a
+/// length prefix that lies costs at most twice the bytes actually sent,
+/// never the declared length up front.
+fn read_body<const N: usize>(r: &mut impl Read, len: usize) -> io::Result<([u8; N], Vec<u8>)> {
+    /// First payload allocation; later ones double what has arrived.
+    const FIRST_CHUNK: usize = 64 << 10;
     if len > MAX_FRAME {
         return Err(bad_data(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte bound"
         )));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
+    let len = len.checked_sub(N).ok_or_else(|| {
+        bad_data(format!(
+            "frame body of {len} bytes is shorter than its {N}-byte head"
+        ))
+    })?;
+    let mut head = [0u8; N];
+    r.read_exact(&mut head)?;
+    if head[0] != WIRE_VERSION {
+        return Err(bad_data(format!(
+            "unsupported wire version {} (this peer speaks {WIRE_VERSION})",
+            head[0]
+        )));
+    }
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let filled = payload.len();
+        let chunk = filled.max(FIRST_CHUNK).min(len - filled);
+        payload.reserve_exact(chunk);
+        payload.resize(filled + chunk, 0);
+        r.read_exact(&mut payload[filled..])?;
+    }
+    Ok((head, payload))
 }
 
 /// Reads the 4-byte length prefix, distinguishing a clean EOF before the
@@ -106,23 +133,12 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
     let Some(len) = read_len(r)? else {
         return Ok(None);
     };
-    if len < 18 {
-        return Err(bad_data(format!(
-            "request body of {len} bytes is too short"
-        )));
-    }
-    let body = read_body(r, len)?;
-    if body[0] != WIRE_VERSION {
-        return Err(bad_data(format!(
-            "unsupported wire version {} (this peer speaks {WIRE_VERSION})",
-            body[0]
-        )));
-    }
+    let (head, payload) = read_body::<18>(r, len)?;
     Ok(Some(Request {
-        opcode: body[1],
-        generation: u64::from_le_bytes(body[2..10].try_into().expect("length checked")),
-        slot: u64::from_le_bytes(body[10..18].try_into().expect("length checked")),
-        payload: body[18..].to_vec(),
+        opcode: head[1],
+        generation: u64::from_le_bytes(head[2..10].try_into().expect("fixed head")),
+        slot: u64::from_le_bytes(head[10..18].try_into().expect("fixed head")),
+        payload,
     }))
 }
 
@@ -152,19 +168,8 @@ pub fn read_response(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
             "connection closed while awaiting a response",
         )
     })?;
-    if len < 2 {
-        return Err(bad_data(format!(
-            "response body of {len} bytes is too short"
-        )));
-    }
-    let body = read_body(r, len)?;
-    if body[0] != WIRE_VERSION {
-        return Err(bad_data(format!(
-            "unsupported wire version {} (this peer speaks {WIRE_VERSION})",
-            body[0]
-        )));
-    }
-    Ok((body[1], body[2..].to_vec()))
+    let ([_, status], payload) = read_body::<2>(r, len)?;
+    Ok((status, payload))
 }
 
 #[cfg(test)]
@@ -213,9 +218,80 @@ mod tests {
         let mut skewed = wire.clone();
         skewed[4] = 99;
         assert!(read_request(&mut skewed.as_slice()).is_err());
+        // A body too short for the request head.
+        let mut short = 17u32.to_le_bytes().to_vec();
+        short.extend_from_slice(&[WIRE_VERSION; 17]);
+        assert!(read_request(&mut short.as_slice()).is_err());
         // A hostile length prefix is rejected before allocating.
         let mut huge = wire;
         huge[..4].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert!(read_request(&mut huge.as_slice()).is_err());
+    }
+
+    /// A reader that records the bytes handed out and the largest buffer
+    /// it was asked to fill — the frame reader's allocation high-water
+    /// mark, since it reads into the buffer it allocated.
+    struct Counted<'a> {
+        src: &'a [u8],
+        sent: usize,
+        widest: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            let n = self.src.read(buf)?;
+            self.sent += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_lying_length_prefix_fails_on_eof_without_allocating_it() {
+        // A request header that claims ~1 GiB, then a little payload and
+        // EOF: the read must fail typed after consuming what was sent.
+        let claimed = MAX_FRAME - 1;
+        let mut wire = (claimed as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[WIRE_VERSION, 7]);
+        wire.extend_from_slice(&[0u8; 16]);
+        wire.extend_from_slice(&[0xAB; 1000]);
+        let mut r = Counted {
+            src: &wire,
+            sent: 0,
+            widest: 0,
+        };
+        let err = read_request(&mut r).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
+            ),
+            "{err:?}"
+        );
+        assert_eq!(r.sent, wire.len(), "every sent byte was read before EOF");
+        assert!(
+            r.widest <= 64 << 10,
+            "the reader sized a {}-byte buffer for 1 KB of payload",
+            r.widest
+        );
+        // Same for a response frame.
+        let mut wire = (claimed as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[WIRE_VERSION, STATUS_OK, 1, 2, 3]);
+        let err = read_response(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn large_payloads_arrive_whole_with_exact_capacity() {
+        let payload: Vec<u8> = (0..300_000u32).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_request(&mut wire, 3, 1, 2, &payload).unwrap();
+        write_response(&mut wire, STATUS_OK, &payload).unwrap();
+        let mut r = wire.as_slice();
+        let request = read_request(&mut r).unwrap().unwrap();
+        assert_eq!(request.payload, payload);
+        assert_eq!(request.payload.capacity(), payload.len());
+        let (status, body) = read_response(&mut r).unwrap();
+        assert_eq!((status, body), (STATUS_OK, payload));
     }
 }

@@ -172,7 +172,7 @@ fn serve_conn(mut stream: TcpStream, srv: Arc<Srv>) {
             Ok(None) | Err(_) => return,
         };
         let terminate = request.opcode == op::TERMINATE;
-        let reply = dispatch(&srv, &request);
+        let reply = dispatch(&srv, request);
         let wrote = match reply {
             Ok(payload) => write_response(&mut stream, STATUS_OK, &payload),
             Err(e) => write_response(&mut stream, STATUS_ERR, &wire::enc_error(&e)),
@@ -205,13 +205,32 @@ fn slot_of(srv: &Srv, slot: u64) -> Result<Arc<dyn ShardTransport>, TgsError> {
     })
 }
 
-fn dispatch(srv: &Srv, request: &Request) -> Result<Vec<u8>, TgsError> {
+/// `INIT`: restores a slot's engine from a checkpoint section, taking
+/// the request payload as the checkpoint buffer.
+fn init_slot(srv: &Srv, slot: u64, section: Vec<u8>) -> Result<Vec<u8>, TgsError> {
+    let engine = SentimentEngine::restore(&EngineCheckpoint::from_bytes(section))?;
+    let mut slots = srv.slots.lock();
+    if slots.contains_key(&slot) {
+        return Err(TgsError::invalid_argument(format!(
+            "slot {slot} already exists on this server"
+        )));
+    }
+    slots.insert(slot, Arc::new(LocalShard::new(engine)));
+    srv.next_slot.fetch_max(slot + 1, Ordering::Relaxed);
+    Ok(Vec::new())
+}
+
+fn dispatch(srv: &Srv, request: Request) -> Result<Vec<u8>, TgsError> {
     let Request {
         opcode,
         generation,
         slot,
-        ref payload,
-    } = *request;
+        payload,
+    } = request;
+    if opcode == op::INIT {
+        return init_slot(srv, slot, payload);
+    }
+    let payload = payload.as_slice();
     match opcode {
         op::PING | op::TERMINATE => Ok(Vec::new()),
         op::SERVER_INFO => {
@@ -226,18 +245,6 @@ fn dispatch(srv: &Srv, request: &Request) -> Result<Vec<u8>, TgsError> {
             }
             w.usize(srv.slots.lock().len());
             Ok(w.finish())
-        }
-        op::INIT => {
-            let engine = SentimentEngine::restore(&EngineCheckpoint::from_bytes(payload.clone()))?;
-            let mut slots = srv.slots.lock();
-            if slots.contains_key(&slot) {
-                return Err(TgsError::invalid_argument(format!(
-                    "slot {slot} already exists on this server"
-                )));
-            }
-            slots.insert(slot, Arc::new(LocalShard::new(engine)));
-            srv.next_slot.fetch_max(slot + 1, Ordering::Relaxed);
-            Ok(Vec::new())
         }
         op::SHUTDOWN_SLOT => {
             // Idempotent: removing an absent slot is a success, so a

@@ -47,6 +47,10 @@
 #     the JSON carries bytes alongside nanoseconds; acceptance is the
 #     5% point staying ≥5× smaller and faster than full. BENCH_FAST=1
 #     shrinks the corpus to 4k users (smoke only, not for committing).
+#   `ckpt_encode_n40000_s{1,2}/{apply_delta,restore}/5` — the decode
+#     side: folding a 5% delta into its base, and restoring the full
+#     checkpoint into a running fleet that has answered one query (one
+#     section, and two sections decoded concurrently).
 #
 # Usage:
 #   ./scripts/bench_json.sh           # full regeneration (commit these)
