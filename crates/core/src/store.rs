@@ -8,18 +8,18 @@
 
 use std::collections::VecDeque;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use tgs_linalg::DenseMatrix;
+
+use crate::codec::Writer;
 
 /// Serializes a dense matrix: `rows: u64 | cols: u64 | data: f64-LE…`.
 pub fn encode_matrix(m: &DenseMatrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + 8 * m.as_slice().len());
-    buf.put_u64_le(m.rows() as u64);
-    buf.put_u64_le(m.cols() as u64);
-    for &v in m.as_slice() {
-        buf.put_f64_le(v);
-    }
-    buf.freeze()
+    let mut w = Writer::with_capacity(16 + 8 * m.as_slice().len());
+    w.usize(m.rows());
+    w.usize(m.cols());
+    m.as_slice().iter().for_each(|&v| w.f64(v));
+    Bytes::from(w.finish())
 }
 
 /// Validates an [`encode_matrix`] header against the buffer: returns the
@@ -36,9 +36,10 @@ pub fn encoded_shape(bytes: &[u8]) -> Option<(usize, usize)> {
 }
 
 /// Inverse of [`encode_matrix`]. Returns `None` on malformed input.
-pub fn decode_matrix(bytes: Bytes) -> Option<DenseMatrix> {
-    let (rows, cols) = encoded_shape(bytes.as_slice())?;
-    let data = bytes.as_slice()[16..]
+pub fn decode_matrix(bytes: impl AsRef<[u8]>) -> Option<DenseMatrix> {
+    let bytes = bytes.as_ref();
+    let (rows, cols) = encoded_shape(bytes)?;
+    let data = bytes[16..]
         .chunks_exact(8)
         .map(|v| f64::from_le_bytes(v.try_into().expect("8-byte chunk")))
         .collect();
@@ -179,11 +180,11 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode_matrix(Bytes::from_static(b"oops")).is_none());
         // header claims more data than present
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(10);
-        buf.put_u64_le(10);
-        buf.put_f64_le(1.0);
-        assert!(decode_matrix(buf.freeze()).is_none());
+        let mut w = Writer::new();
+        w.u64(10);
+        w.u64(10);
+        w.f64(1.0);
+        assert!(decode_matrix(w.finish()).is_none());
     }
 
     #[test]

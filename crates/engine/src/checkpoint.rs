@@ -3,9 +3,11 @@
 //! The format is a versioned little-endian stream:
 //! configuration → vocabulary → lexicon prior → solver temporal state
 //! (`Sf` window, per-user history, step counter) → recorded timeline →
-//! per-user observations → the bounded `Sf`/`Sp` factor stores. Every
-//! read is bounds-checked; structural violations surface as
-//! [`TgsError::CorruptCheckpoint`], never a panic.
+//! per-user observations → the bounded `Sf`/`Sp` factor stores. It is
+//! written with [`tgs_core::codec::Writer`] and read with
+//! [`tgs_core::codec::Reader`], which bounds-checks every field and every
+//! count, so a structural violation surfaces as
+//! [`TgsError::CorruptCheckpoint`], never a panic or a large allocation.
 //!
 //! Restoration is exact: matrices round-trip bit-for-bit (f64 ↔ LE bits),
 //! so a restored engine produces identical results for identical
@@ -16,13 +18,11 @@
 //! over as a zero-copy [`Bytes`] view, and
 //! `ShardedEngine::restore` decodes the sections concurrently, one
 //! thread per shard). Fixed-width per-user records — solver history rows
-//! and observation tracks — are parsed in one pass over a slice whose
-//! length the record count has already been checked against. Factor-store
-//! entries are *adopted*, not decoded and re-encoded: each entry's
-//! 16-byte matrix header is validated against its length (the checks
-//! [`decode_matrix`] applies), then one owned copy of the bytes enters
-//! the store — byte-identical to what the old decode → re-encode path
-//! produced, and never a view that would pin the whole checkpoint.
+//! and observation tracks — are cut in one pass ([`Reader::rows`]).
+//! Factor-store entries are *adopted*, not decoded and re-encoded: each
+//! entry's 16-byte matrix header is validated against its length
+//! ([`Reader::encoded_matrix`]), then one owned copy of the bytes enters
+//! the store — never a view that would pin the whole checkpoint.
 //!
 //! **Compaction (format v2).** The stores only ever hold what survived
 //! their byte budgets, so budget-evicted factor snapshots are never
@@ -34,10 +34,11 @@
 //! yields identical query results for every retained timestamp and
 //! bit-identical subsequent solves.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use tgs_core::codec::{CodecError, Reader, Writer};
 use tgs_core::{
-    decode_matrix, encode_matrix, encoded_shape, InitStrategy, OnlineConfig, OnlineSolver,
-    OnlineSolverState, SnapshotStore, TgsError,
+    encode_matrix, InitStrategy, OnlineConfig, OnlineSolver, OnlineSolverState, SnapshotStore,
+    TgsError,
 };
 use tgs_linalg::DenseMatrix;
 use tgs_text::{TokenizerConfig, Vocabulary, Weighting};
@@ -97,170 +98,26 @@ impl EngineCheckpoint {
 }
 
 // ---------------------------------------------------------------------
-// Checked read/write helpers over the vendored `bytes` surface.
+// Sections shared with the delta codec (`crate::delta`)
 // ---------------------------------------------------------------------
 
-fn corrupt(what: &str) -> TgsError {
-    TgsError::corrupt(format!("truncated or malformed field: {what}"))
-}
-
-pub(crate) fn rd_u64(b: &mut Bytes, what: &str) -> Result<u64, TgsError> {
-    let v = u64::from_le_bytes(*b.as_slice().first_chunk().ok_or_else(|| corrupt(what))?);
-    b.advance(8);
-    Ok(v)
-}
-
-pub(crate) fn rd_usize(b: &mut Bytes, what: &str) -> Result<usize, TgsError> {
-    usize::try_from(rd_u64(b, what)?).map_err(|_| corrupt(what))
-}
-
-pub(crate) fn rd_f64(b: &mut Bytes, what: &str) -> Result<f64, TgsError> {
-    rd_u64(b, what).map(f64::from_bits)
-}
-
-pub(crate) fn rd_u8(b: &mut Bytes, what: &str) -> Result<u8, TgsError> {
-    let byte = *b.as_slice().first().ok_or_else(|| corrupt(what))?;
-    b.advance(1);
-    Ok(byte)
-}
-
-pub(crate) fn rd_bool(b: &mut Bytes, what: &str) -> Result<bool, TgsError> {
-    match rd_u8(b, what)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(corrupt(what)),
-    }
-}
-
-/// Guards list headers: each element needs at least `elem_bytes`, so a
-/// corrupt count can't trigger a huge allocation.
-pub(crate) fn rd_count(b: &mut Bytes, elem_bytes: usize, what: &str) -> Result<usize, TgsError> {
-    let count = rd_usize(b, what)?;
-    if count.saturating_mul(elem_bytes.max(1)) > b.remaining() {
-        return Err(corrupt(what));
-    }
-    Ok(count)
-}
-
-fn wr_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u64_le(s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Reads a `count`-prefixed list of fixed-width records — a `u64` key
-/// (mapped through `key`) followed by `k` `f64`s — in one pass: the
-/// count check proves the whole `count × 8(k+1)` run is present, so the
-/// records are cut from that slice without per-field bounds checks.
-pub(crate) fn rd_rows<K>(
-    b: &mut Bytes,
-    k: usize,
-    what: &str,
-    key: impl Fn(u64) -> K,
-) -> Result<Vec<(K, Vec<f64>)>, TgsError> {
-    let record = k.saturating_add(1).saturating_mul(8);
-    let count = rd_count(b, record, what)?;
-    let run = count * record;
-    let rows = b.as_slice()[..run]
-        .chunks_exact(record)
-        .map(|rec| {
-            let (head, values) = rec.split_at(8);
-            let row = values
-                .chunks_exact(8)
-                .map(|v| f64::from_le_bytes(v.try_into().expect("8-byte chunk")))
-                .collect();
-            (
-                key(u64::from_le_bytes(head.try_into().expect("8-byte key"))),
-                row,
-            )
-        })
-        .collect();
-    b.advance(run);
-    Ok(rows)
-}
-
-fn rd_str(b: &mut Bytes, what: &str) -> Result<String, TgsError> {
-    let len = rd_count(b, 1, what)?;
-    let s = std::str::from_utf8(&b.as_slice()[..len])
-        .map_err(|_| corrupt(what))?
-        .to_owned();
-    b.advance(len);
-    Ok(s)
-}
-
-fn wr_matrix(buf: &mut BytesMut, m: &DenseMatrix) {
-    let encoded = encode_matrix(m);
-    buf.put_u64_le(encoded.len() as u64);
-    buf.put_slice(encoded.as_slice());
-}
-
-/// Reads a length-prefixed [`encode_matrix`] buffer as a view, after
-/// validating its header against the length ([`encoded_shape`]).
-pub(crate) fn rd_encoded(b: &mut Bytes, what: &str) -> Result<Bytes, TgsError> {
-    let len = rd_count(b, 1, what)?;
-    let view = b.slice(..len);
-    b.advance(len);
-    encoded_shape(view.as_slice()).ok_or_else(|| corrupt(what))?;
-    Ok(view)
-}
-
-pub(crate) fn rd_matrix(b: &mut Bytes, what: &str) -> Result<DenseMatrix, TgsError> {
-    decode_matrix(rd_encoded(b, what)?).ok_or_else(|| corrupt(what))
-}
-
-fn init_to_u8(init: InitStrategy) -> u8 {
-    match init {
-        InitStrategy::Random => 0,
-        InitStrategy::LexiconSeeded => 1,
-    }
-}
-
-fn init_from_u8(v: u8) -> Result<InitStrategy, TgsError> {
-    match v {
-        0 => Ok(InitStrategy::Random),
-        1 => Ok(InitStrategy::LexiconSeeded),
-        _ => Err(corrupt("init strategy")),
-    }
-}
-
-fn weighting_to_u8(w: Weighting) -> u8 {
-    match w {
-        Weighting::Counts => 0,
-        Weighting::Binary => 1,
-        Weighting::TfIdf => 2,
-    }
-}
-
-fn weighting_from_u8(v: u8) -> Result<Weighting, TgsError> {
-    match v {
-        0 => Ok(Weighting::Counts),
-        1 => Ok(Weighting::Binary),
-        2 => Ok(Weighting::TfIdf),
-        _ => Err(corrupt("weighting")),
-    }
-}
-
 /// Serializes one timeline entry — the per-snapshot layout shared by the
-/// full checkpoint's timeline section and the delta codec's new-entry
-/// section (`crate::delta`).
-pub(crate) fn wr_timeline_entry(buf: &mut BytesMut, entry: &TimelineEntry) {
-    buf.put_u64_le(entry.timestamp);
-    buf.put_u64_le(entry.tweets as u64);
-    buf.put_u64_le(entry.users as u64);
-    buf.put_u64_le(entry.new_users as u64);
-    buf.put_u64_le(entry.evolving_users as u64);
-    buf.put_u64_le(entry.iterations as u64);
-    buf.put_slice(&[entry.converged as u8]);
-    buf.put_f64_le(entry.objective);
-    for &v in &entry.tweet_counts {
-        buf.put_u64_le(v as u64);
-    }
-    for &v in &entry.user_counts {
-        buf.put_u64_le(v as u64);
-    }
+/// full checkpoint's timeline section and the delta's new-entry section.
+pub(crate) fn wr_timeline_entry(w: &mut Writer, entry: &TimelineEntry) {
+    w.u64(entry.timestamp);
+    w.usize(entry.tweets);
+    w.usize(entry.users);
+    w.usize(entry.new_users);
+    w.usize(entry.evolving_users);
+    w.usize(entry.iterations);
+    w.bool(entry.converged);
+    w.f64(entry.objective);
+    entry.tweet_counts.iter().for_each(|&v| w.usize(v));
+    entry.user_counts.iter().for_each(|&v| w.usize(v));
 }
 
-/// Smallest serialized size of one timeline entry — the `rd_count`
-/// floor for timeline lists (saturating, so a corrupt `k` cannot wrap).
+/// Smallest serialized size of one timeline entry — the count floor for
+/// timeline lists (saturating, so a corrupt `k` cannot wrap).
 pub(crate) fn timeline_entry_floor(k: usize) -> usize {
     k.saturating_mul(2)
         .saturating_add(7)
@@ -269,35 +126,125 @@ pub(crate) fn timeline_entry_floor(k: usize) -> usize {
 }
 
 /// Inverse of [`wr_timeline_entry`].
-pub(crate) fn rd_timeline_entry(b: &mut Bytes, k: usize) -> Result<TimelineEntry, TgsError> {
-    let timestamp = rd_u64(b, "timeline timestamp")?;
-    let tweets = rd_usize(b, "timeline tweets")?;
-    let users = rd_usize(b, "timeline users")?;
-    let new_users = rd_usize(b, "timeline new users")?;
-    let evolving_users = rd_usize(b, "timeline evolving users")?;
-    let iterations = rd_usize(b, "timeline iterations")?;
-    let converged = rd_bool(b, "timeline converged")?;
-    let objective = rd_f64(b, "timeline objective")?;
-    let mut tweet_counts = Vec::with_capacity(k);
-    for _ in 0..k {
-        tweet_counts.push(rd_usize(b, "timeline tweet count")?);
-    }
-    let mut user_counts = Vec::with_capacity(k);
-    for _ in 0..k {
-        user_counts.push(rd_usize(b, "timeline user count")?);
-    }
+pub(crate) fn rd_timeline_entry(r: &mut Reader<'_>, k: usize) -> Result<TimelineEntry, CodecError> {
     Ok(TimelineEntry {
-        timestamp,
-        tweets,
-        users,
-        new_users,
-        evolving_users,
-        iterations,
-        converged,
-        objective,
-        tweet_counts,
-        user_counts,
+        timestamp: r.u64("timeline timestamp")?,
+        tweets: r.usize("timeline tweets")?,
+        users: r.usize("timeline users")?,
+        new_users: r.usize("timeline new users")?,
+        evolving_users: r.usize("timeline evolving users")?,
+        iterations: r.usize("timeline iterations")?,
+        converged: r.bool("timeline converged")?,
+        objective: r.f64("timeline objective")?,
+        tweet_counts: (0..k)
+            .map(|_| r.usize("timeline tweet count"))
+            .collect::<Result<_, _>>()?,
+        user_counts: (0..k)
+            .map(|_| r.usize("timeline user count"))
+            .collect::<Result<_, _>>()?,
     })
+}
+
+/// Serializes the solver's `Sf` window with compaction: each matrix is
+/// the `Sf(t−i)` the solver pushed when it committed snapshot `t−i` —
+/// byte-identical to that timestamp's `Sf`-store entry unless the budget
+/// evicted it — so it is written as a back-reference (tag 1 + timestamp)
+/// when the store still holds the bytes, and inline (tag 0) otherwise.
+pub(crate) fn wr_window<'m>(
+    w: &mut Writer,
+    window: impl ExactSizeIterator<Item = &'m DenseMatrix>,
+    sf_store: &SnapshotStore,
+) {
+    w.usize(window.len());
+    for sf in window {
+        let encoded = encode_matrix(sf);
+        match sf_store
+            .iter()
+            .find(|(_, bytes)| bytes.as_slice() == encoded.as_slice())
+        {
+            Some((t, _)) => {
+                w.u8(1);
+                w.u64(t);
+            }
+            None => {
+                w.u8(0);
+                w.bytes(encoded.as_slice());
+            }
+        }
+    }
+}
+
+/// One parsed `Sf` window entry. References resolve against the store,
+/// which the stream carries later ([`resolve_window`]).
+pub(crate) enum WindowEntry {
+    Inline(DenseMatrix),
+    Ref(u64),
+}
+
+/// Inverse of [`wr_window`], before the references are resolved.
+pub(crate) fn rd_window(r: &mut Reader<'_>) -> Result<Vec<WindowEntry>, CodecError> {
+    let len = r.count(9, "sf window length")?;
+    (0..len)
+        .map(|_| match r.tag(1, "sf window entry tag")? {
+            0 => r.matrix("sf window snapshot").map(WindowEntry::Inline),
+            _ => r.u64("sf window reference").map(WindowEntry::Ref),
+        })
+        .collect()
+}
+
+/// Resolves parsed window entries against `sf_store`. Every matrix must
+/// aggregate against the `vocab × k` shape, or the first ingest after a
+/// restore would fail inside the solver instead of failing the restore.
+pub(crate) fn resolve_window(
+    entries: Vec<WindowEntry>,
+    sf_store: &SnapshotStore,
+    (vocab, k): (usize, usize),
+) -> Result<Vec<DenseMatrix>, TgsError> {
+    entries
+        .into_iter()
+        .map(|entry| {
+            let sf = match entry {
+                WindowEntry::Inline(sf) => sf,
+                WindowEntry::Ref(t) => sf_store.get(t).ok_or_else(|| {
+                    TgsError::corrupt(format!(
+                        "sf window references timestamp {t}, which the sf store does not retain"
+                    ))
+                })?,
+            };
+            if sf.shape() != (vocab, k) {
+                return Err(TgsError::corrupt(format!(
+                    "sf window snapshot is {}×{}, expected {vocab}×{k}",
+                    sf.rows(),
+                    sf.cols(),
+                )));
+            }
+            Ok(sf)
+        })
+        .collect()
+}
+
+/// Reads count-prefixed `(timestamp, encoded matrix)` store entries,
+/// each validated and copied out of the input so it never pins it.
+pub(crate) fn rd_store_entries(
+    r: &mut Reader<'_>,
+    field: &'static str,
+) -> Result<Vec<(u64, Bytes)>, CodecError> {
+    let n = r.count(16, field)?;
+    (0..n)
+        .map(|_| {
+            let t = r.u64(field)?;
+            Ok((t, Bytes::copy_from_slice(r.encoded_matrix(field)?)))
+        })
+        .collect()
+}
+
+/// Reads one factor store: its byte budget, then its entries.
+fn rd_store(r: &mut Reader<'_>, field: &'static str) -> Result<SnapshotStore, CodecError> {
+    let mut store = SnapshotStore::new(r.usize(field)?);
+    for (t, entry) in rd_store_entries(r, field)? {
+        store.push_encoded(t, entry);
+    }
+    Ok(store)
 }
 
 // ---------------------------------------------------------------------
@@ -309,115 +256,87 @@ pub(crate) fn encode(
     solver: &OnlineSolver,
     state: &EngineState,
 ) -> EngineCheckpoint {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
+    let mut w = Writer::with_capacity(1 << 16);
+    w.raw(MAGIC);
 
     // --- Configuration ---
     let c = &shared.config;
-    buf.put_u64_le(c.k as u64);
-    buf.put_f64_le(c.alpha);
-    buf.put_f64_le(c.beta);
-    buf.put_f64_le(c.gamma);
-    buf.put_f64_le(c.tau);
-    buf.put_u64_le(c.window as u64);
-    buf.put_slice(&[c.normalize_window as u8]);
-    buf.put_u64_le(c.max_iters as u64);
-    buf.put_f64_le(c.tol);
-    buf.put_u64_le(c.seed);
-    buf.put_slice(&[init_to_u8(c.init), c.track_objective as u8]);
-    buf.put_u64_le(shared.queue_depth as u64);
-    buf.put_u64_le(shared.tokenizer.min_token_len as u64);
-    buf.put_slice(&[
-        shared.tokenizer.keep_mentions as u8,
-        shared.tokenizer.keep_numbers as u8,
-        weighting_to_u8(shared.weighting),
-    ]);
+    w.usize(c.k);
+    w.f64(c.alpha);
+    w.f64(c.beta);
+    w.f64(c.gamma);
+    w.f64(c.tau);
+    w.usize(c.window);
+    w.bool(c.normalize_window);
+    w.usize(c.max_iters);
+    w.f64(c.tol);
+    w.u64(c.seed);
+    w.u8(match c.init {
+        InitStrategy::Random => 0,
+        InitStrategy::LexiconSeeded => 1,
+    });
+    w.bool(c.track_objective);
+    w.usize(shared.queue_depth);
+    w.usize(shared.tokenizer.min_token_len);
+    w.bool(shared.tokenizer.keep_mentions);
+    w.bool(shared.tokenizer.keep_numbers);
+    w.u8(match shared.weighting {
+        Weighting::Counts => 0,
+        Weighting::Binary => 1,
+        Weighting::TfIdf => 2,
+    });
 
     // --- Vocabulary + prior ---
-    buf.put_u64_le(shared.vocab.len() as u64);
-    for token in shared.vocab.tokens() {
-        wr_str(&mut buf, token);
-    }
-    wr_matrix(&mut buf, &shared.sf0);
+    w.usize(shared.vocab.len());
+    shared.vocab.tokens().iter().for_each(|token| w.str(token));
+    w.bytes(encode_matrix(&shared.sf0).as_slice());
 
     // --- Solver temporal state ---
     let solver_state = solver.export_state();
-    buf.put_u64_le(solver_state.steps);
-    buf.put_u64_le(solver_state.sf_window.len() as u64);
-    for sf in &solver_state.sf_window {
-        // Compaction: each window matrix is the Sf(t−i) the solver pushed
-        // when it committed snapshot t−i — byte-identical to that
-        // timestamp's Sf-store entry unless the budget evicted it. Write
-        // a back-reference when the store still holds the bytes; inline
-        // them only on eviction.
-        let encoded = encode_matrix(sf);
-        match state
-            .sf_store
-            .iter()
-            .find(|(_, bytes)| bytes.as_slice() == encoded.as_slice())
-        {
-            Some((t, _)) => {
-                buf.put_slice(&[1u8]);
-                buf.put_u64_le(t);
-            }
-            None => {
-                buf.put_slice(&[0u8]);
-                buf.put_u64_le(encoded.len() as u64);
-                buf.put_slice(encoded.as_slice());
-            }
-        }
-    }
+    w.u64(solver_state.steps);
+    wr_window(&mut w, solver_state.sf_window.iter(), &state.sf_store);
     // History steps are signed (rebalance-migrated rows can predate a
     // young solver's step 0); two's-complement u64 round-trips them
     // exactly, and pre-elastic checkpoints only ever held non-negative
     // values, so old streams decode unchanged.
-    buf.put_u64_le(solver_state.history_step as u64);
-    buf.put_u64_le(solver_state.history_rows.len() as u64);
+    w.u64(solver_state.history_step as u64);
+    w.usize(solver_state.history_rows.len());
     for (user, entries) in &solver_state.history_rows {
-        buf.put_u64_le(*user as u64);
-        buf.put_u64_le(entries.len() as u64);
-        for (step, row) in entries {
-            buf.put_u64_le(*step as u64);
-            for &v in row {
-                buf.put_f64_le(v);
-            }
-        }
+        w.usize(*user);
+        w.rows(
+            entries
+                .iter()
+                .map(|(step, row)| (*step as u64, row.as_slice())),
+        );
     }
 
     // --- Timeline ---
-    buf.put_u64_le(state.timeline.len() as u64);
+    w.usize(state.timeline.len());
     for entry in state.timeline.values() {
-        wr_timeline_entry(&mut buf, entry);
+        wr_timeline_entry(&mut w, entry);
     }
 
     // --- Per-user observations (sorted by user id for determinism) ---
     let mut users: Vec<_> = state.user_track.iter().collect();
     users.sort_unstable_by_key(|(&u, _)| u);
-    buf.put_u64_le(users.len() as u64);
+    w.usize(users.len());
     for (&user, track) in users {
-        buf.put_u64_le(user as u64);
-        buf.put_u64_le(track.len() as u64);
-        for (t, dist) in track {
-            buf.put_u64_le(*t);
-            for &v in dist {
-                buf.put_f64_le(v);
-            }
-        }
+        w.usize(user);
+        w.rows(track.iter().map(|(t, dist)| (*t, dist.as_slice())));
     }
 
     // --- Factor stores ---
     for store in [&state.sf_store, &state.sp_store] {
-        buf.put_u64_le(store.budget_bytes() as u64);
-        buf.put_u64_le(store.len() as u64);
+        w.usize(store.budget_bytes());
+        w.usize(store.len());
         for (t, bytes) in store.iter() {
-            buf.put_u64_le(t);
-            buf.put_u64_le(bytes.len() as u64);
-            buf.put_slice(bytes.as_slice());
+            w.u64(t);
+            w.bytes(bytes.as_slice());
         }
     }
 
     EngineCheckpoint {
-        bytes: buf.freeze(),
+        bytes: Bytes::from(w.finish()),
     }
 }
 
@@ -428,62 +347,62 @@ pub(crate) fn encode(
 pub(crate) fn decode(
     ckpt: &EngineCheckpoint,
 ) -> Result<(EngineShared, OnlineSolver, EngineState), TgsError> {
-    let mut b = ckpt.bytes.clone();
-    if b.remaining() < MAGIC.len() {
-        return Err(corrupt("magic header"));
-    }
-    if !b.as_slice().starts_with(MAGIC) {
-        return Err(TgsError::corrupt(
-            "unrecognized magic header (not a tgs-engine checkpoint, or a newer format version)",
-        ));
-    }
-    b.advance(MAGIC.len());
+    let mut r = Reader::new(ckpt.as_bytes());
+    r.magic(MAGIC, "tgs-engine checkpoint magic")?;
 
     // --- Configuration ---
-    let k = rd_usize(&mut b, "k")?;
+    let k = r.usize("k")?;
     let config = OnlineConfig {
         k,
-        alpha: rd_f64(&mut b, "alpha")?,
-        beta: rd_f64(&mut b, "beta")?,
-        gamma: rd_f64(&mut b, "gamma")?,
-        tau: rd_f64(&mut b, "tau")?,
-        window: rd_usize(&mut b, "window")?,
-        normalize_window: rd_bool(&mut b, "normalize_window")?,
-        max_iters: rd_usize(&mut b, "max_iters")?,
-        tol: rd_f64(&mut b, "tol")?,
-        seed: rd_u64(&mut b, "seed")?,
-        init: init_from_u8(rd_u8(&mut b, "init")?)?,
-        track_objective: rd_bool(&mut b, "track_objective")?,
+        alpha: r.f64("alpha")?,
+        beta: r.f64("beta")?,
+        gamma: r.f64("gamma")?,
+        tau: r.f64("tau")?,
+        window: r.usize("window")?,
+        normalize_window: r.bool("normalize_window")?,
+        max_iters: r.usize("max_iters")?,
+        tol: r.f64("tol")?,
+        seed: r.u64("seed")?,
+        init: match r.tag(1, "init")? {
+            0 => InitStrategy::Random,
+            _ => InitStrategy::LexiconSeeded,
+        },
+        track_objective: r.bool("track_objective")?,
     };
     // A checkpoint only ever carries a configuration the builder
     // accepted, so an out-of-domain field means corrupt bytes.
     config
         .try_validate()
         .map_err(|e| TgsError::corrupt(format!("invalid configuration: {e}")))?;
-    let queue_depth = rd_usize(&mut b, "queue_depth")?.max(1);
+    let queue_depth = r.usize("queue_depth")?.max(1);
     // The queue's slots are allocated up front: a corrupt depth must
     // fail the restore, not the allocator.
     if queue_depth > MAX_QUEUE_DEPTH {
-        return Err(corrupt("queue_depth"));
+        return Err(TgsError::corrupt(format!(
+            "queue_depth {queue_depth} exceeds {MAX_QUEUE_DEPTH}"
+        )));
     }
     let tokenizer = TokenizerConfig {
-        min_token_len: rd_usize(&mut b, "min_token_len")?,
-        keep_mentions: rd_bool(&mut b, "keep_mentions")?,
-        keep_numbers: rd_bool(&mut b, "keep_numbers")?,
+        min_token_len: r.usize("min_token_len")?,
+        keep_mentions: r.bool("keep_mentions")?,
+        keep_numbers: r.bool("keep_numbers")?,
     };
-    let weighting = weighting_from_u8(rd_u8(&mut b, "weighting")?)?;
+    let weighting = match r.tag(2, "weighting")? {
+        0 => Weighting::Counts,
+        1 => Weighting::Binary,
+        _ => Weighting::TfIdf,
+    };
 
     // --- Vocabulary + prior ---
-    let vocab_len = rd_count(&mut b, 8, "vocabulary length")?;
-    let mut tokens = Vec::with_capacity(vocab_len);
-    for _ in 0..vocab_len {
-        tokens.push(rd_str(&mut b, "vocabulary token")?);
-    }
+    let vocab_len = r.count(8, "vocabulary length")?;
+    let tokens = (0..vocab_len)
+        .map(|_| r.str("vocabulary token").map(str::to_owned))
+        .collect::<Result<Vec<_>, _>>()?;
     let vocab = Vocabulary::from_tokens(tokens);
     if vocab.len() != vocab_len {
         return Err(TgsError::corrupt("duplicate vocabulary tokens"));
     }
-    let sf0 = rd_matrix(&mut b, "sf0 prior")?;
+    let sf0 = r.matrix("sf0 prior")?;
     if sf0.shape() != (vocab.len(), k) {
         return Err(TgsError::corrupt(format!(
             "sf0 prior is {}×{}, expected {}×{k}",
@@ -497,98 +416,41 @@ pub(crate) fn decode(
     // Window entries may back-reference Sf-store timestamps (compaction),
     // and the stores appear later in the stream — parse now, resolve
     // after the stores are decoded.
-    enum WindowEntry {
-        Inline(DenseMatrix),
-        Ref(u64),
-    }
-    let steps = rd_u64(&mut b, "solver steps")?;
-    let window_len = rd_count(&mut b, 9, "sf window length")?;
-    let mut window_entries = Vec::with_capacity(window_len);
-    for _ in 0..window_len {
-        match rd_u8(&mut b, "sf window entry tag")? {
-            0 => window_entries.push(WindowEntry::Inline(rd_matrix(
-                &mut b,
-                "sf window snapshot",
-            )?)),
-            1 => window_entries.push(WindowEntry::Ref(rd_u64(&mut b, "sf window reference")?)),
-            _ => return Err(corrupt("sf window entry tag")),
-        }
-    }
+    let steps = r.u64("solver steps")?;
+    let window_entries = rd_window(&mut r)?;
     // Signed via two's complement — see the encode side.
-    let history_step = rd_u64(&mut b, "history step")? as i64;
-    let history_users = rd_count(&mut b, 16, "history user count")?;
-    let mut history_rows = Vec::with_capacity(history_users);
-    for _ in 0..history_users {
-        let user = rd_usize(&mut b, "history user id")?;
-        history_rows.push((
-            user,
-            rd_rows(&mut b, k, "history entry count", |step| step as i64)?,
-        ));
-    }
+    let history_step = r.u64("history step")? as i64;
+    let history_users = r.count(16, "history user count")?;
+    let history_rows = (0..history_users)
+        .map(|_| {
+            let user = r.usize("history user id")?;
+            Ok((user, r.rows(k, "history entry count", |step| step as i64)?))
+        })
+        .collect::<Result<Vec<_>, CodecError>>()?;
 
     // --- Timeline ---
-    let timeline_len = rd_count(&mut b, timeline_entry_floor(k), "timeline length")?;
+    let timeline_len = r.count(timeline_entry_floor(k), "timeline length")?;
     let mut timeline = std::collections::BTreeMap::new();
     for _ in 0..timeline_len {
-        let entry = rd_timeline_entry(&mut b, k)?;
+        let entry = rd_timeline_entry(&mut r, k)?;
         timeline.insert(entry.timestamp, entry);
     }
 
     // --- Per-user observations ---
-    let track_users = rd_count(&mut b, 16, "user track count")?;
+    let track_users = r.count(16, "user track count")?;
     let mut user_track = std::collections::HashMap::with_capacity(track_users);
     for _ in 0..track_users {
-        let user = rd_usize(&mut b, "user track id")?;
-        user_track.insert(user, rd_rows(&mut b, k, "user observation count", |t| t)?);
+        let user = r.usize("user track id")?;
+        user_track.insert(user, r.rows(k, "user observation count", |t| t)?);
     }
 
     // --- Factor stores (validated bytes adopted as-is) ---
-    let mut stores = Vec::with_capacity(2);
-    for name in ["sf store", "sp store"] {
-        let budget = rd_usize(&mut b, name)?;
-        let mut store = SnapshotStore::new(budget);
-        let entries = rd_count(&mut b, 16, name)?;
-        for _ in 0..entries {
-            let t = rd_u64(&mut b, name)?;
-            let entry = rd_encoded(&mut b, name)?;
-            store.push_encoded(t, Bytes::copy_from_slice(entry.as_slice()));
-        }
-        stores.push(store);
-    }
-    let sp_store = stores.pop().expect("two stores decoded");
-    let sf_store = stores.pop().expect("two stores decoded");
-
-    if b.remaining() != 0 {
-        return Err(TgsError::corrupt(format!(
-            "{} trailing bytes after the final field",
-            b.remaining()
-        )));
-    }
+    let sf_store = rd_store(&mut r, "sf store")?;
+    let sp_store = rd_store(&mut r, "sp store")?;
+    r.done("the factor stores")?;
 
     // --- Resolve the (possibly compacted) Sf window against the store ---
-    let mut sf_window = Vec::with_capacity(window_entries.len());
-    for entry in window_entries {
-        let sf = match entry {
-            WindowEntry::Inline(sf) => sf,
-            WindowEntry::Ref(t) => sf_store.get(t).ok_or_else(|| {
-                TgsError::corrupt(format!(
-                    "sf window references timestamp {t}, which the sf store does not retain"
-                ))
-            })?,
-        };
-        // Semantic check: the window must aggregate against this
-        // vocabulary, or the first post-restore ingest would blow up
-        // inside the solver instead of failing the restore.
-        if sf.shape() != (vocab.len(), k) {
-            return Err(TgsError::corrupt(format!(
-                "sf window snapshot is {}×{}, expected {}×{k}",
-                sf.rows(),
-                sf.cols(),
-                vocab.len()
-            )));
-        }
-        sf_window.push(sf);
-    }
+    let sf_window = resolve_window(window_entries, &sf_store, (vocab.len(), k))?;
     let solver = OnlineSolver::from_state(
         config.clone(),
         OnlineSolverState {
@@ -637,7 +499,7 @@ pub(crate) mod layout {
     #[derive(Debug, Default)]
     pub(crate) struct Fields {
         /// Every list count and byte length the decoder bounds with
-        /// `rd_count` (store-entry lengths included).
+        /// `Reader::count` (store-entry lengths included).
         pub counts: Vec<usize>,
         /// Factor-store entry lengths.
         pub entry_lens: Vec<usize>,
@@ -771,6 +633,7 @@ pub(crate) mod layout {
 mod tests {
     use super::layout::{self, Walk};
     use super::*;
+    use tgs_core::decode_matrix;
 
     /// Walks a serialized checkpoint up to the Sf-window section and
     /// returns each entry's compaction tag (1 = store reference,
@@ -869,29 +732,29 @@ mod tests {
     /// A hand-built checkpoint head: a valid configuration with `k`
     /// clusters, an empty vocabulary, a `0×k` prior, no window, and the
     /// history step — everything up to the history user count.
-    fn empty_vocab_head(k: u64) -> BytesMut {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(k);
+    fn empty_vocab_head(k: u64) -> Writer {
+        let mut buf = Writer::new();
+        buf.raw(MAGIC);
+        buf.u64(k);
         for v in [0.5, 0.5, 0.5, 0.5] {
-            buf.put_f64_le(v); // alpha, beta, gamma, tau
+            buf.f64(v); // alpha, beta, gamma, tau
         }
-        buf.put_u64_le(3); // window
-        buf.put_slice(&[1]); // normalize_window
-        buf.put_u64_le(4); // max_iters
-        buf.put_f64_le(0.0); // tol
-        buf.put_u64_le(7); // seed
-        buf.put_slice(&[1, 0]); // init, track_objective
-        buf.put_u64_le(8); // queue_depth
-        buf.put_u64_le(2); // min_token_len
-        buf.put_slice(&[0, 0, 0]); // tokenizer flags, weighting
-        buf.put_u64_le(0); // vocabulary length
-        buf.put_u64_le(16); // prior: a 0×k matrix is just its header
-        buf.put_u64_le(0);
-        buf.put_u64_le(k);
-        buf.put_u64_le(0); // solver steps
-        buf.put_u64_le(0); // window length
-        buf.put_u64_le(0); // history step
+        buf.u64(3); // window
+        buf.raw(&[1]); // normalize_window
+        buf.u64(4); // max_iters
+        buf.f64(0.0); // tol
+        buf.u64(7); // seed
+        buf.raw(&[1, 0]); // init, track_objective
+        buf.u64(8); // queue_depth
+        buf.u64(2); // min_token_len
+        buf.raw(&[0, 0, 0]); // tokenizer flags, weighting
+        buf.u64(0); // vocabulary length
+        buf.u64(16); // prior: a 0×k matrix is just its header
+        buf.u64(0);
+        buf.u64(k);
+        buf.u64(0); // solver steps
+        buf.u64(0); // window length
+        buf.u64(0); // history step
         buf
     }
 
@@ -901,16 +764,16 @@ mod tests {
         // so the per-record size arithmetic must not wrap on it.
         let k = 1u64 << 61;
         let mut history = empty_vocab_head(k);
-        history.put_u64_le(1); // one history user...
-        history.put_u64_le(0); // ...id 0...
-        history.put_u64_le(1); // ...with one record of 8(k+1) bytes
-        history.put_u64_le(0);
+        history.u64(1); // one history user...
+        history.u64(0); // ...id 0...
+        history.u64(1); // ...with one record of 8(k+1) bytes
+        history.u64(0);
         let mut timeline = empty_vocab_head(k);
-        timeline.put_u64_le(0); // no history users
-        timeline.put_u64_le(1); // one timeline entry of 8(7+2k)+1 bytes
-        timeline.put_u64_le(0);
+        timeline.u64(0); // no history users
+        timeline.u64(1); // one timeline entry of 8(7+2k)+1 bytes
+        timeline.u64(0);
         for (case, buf) in [("history", history), ("timeline", timeline)] {
-            let bytes = buf.freeze().as_slice().to_vec();
+            let bytes = buf.finish();
             match decode(&EngineCheckpoint::from_bytes(bytes)) {
                 Err(TgsError::CorruptCheckpoint { .. }) => {}
                 Err(e) => panic!("{case}: {e:?}"),

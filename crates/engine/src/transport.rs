@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use tgs_core::codec::{CodecError, Reader, Writer};
 use tgs_core::TgsError;
 use tgs_linalg::DenseMatrix;
 
@@ -348,84 +348,15 @@ impl ShardTransport for LocalShard {
 /// payload without decoding the rows — the router skips the import call
 /// for empty migrations.
 pub fn exported_users_len(bytes: &[u8]) -> Result<u64, TgsError> {
-    if bytes.len() < 16 {
-        return Err(TgsError::corrupt(
-            "truncated migrated-users payload: missing row counts",
-        ));
-    }
-    let track = u64::from_le_bytes(bytes[..8].try_into().expect("checked length"));
-    let solver = u64::from_le_bytes(bytes[8..16].try_into().expect("checked length"));
+    let mut r = Reader::new(bytes);
+    let track = r.u64("migrated track user count")?;
+    let solver = r.u64("migrated solver row count")?;
     Ok(track.max(solver))
-}
-
-fn corrupt(what: &str) -> TgsError {
-    TgsError::corrupt(format!("malformed migrated-users payload: {what}"))
-}
-
-fn rd_u64(b: &mut Bytes, what: &str) -> Result<u64, TgsError> {
-    if b.remaining() < 8 {
-        return Err(corrupt(what));
-    }
-    Ok(b.get_u64_le())
-}
-
-fn rd_count(b: &mut Bytes, elem_floor: usize, what: &str) -> Result<usize, TgsError> {
-    usize::try_from(rd_u64(b, what)?)
-        .ok()
-        .filter(|&n| n.saturating_mul(elem_floor.max(1)) <= b.remaining())
-        .ok_or_else(|| corrupt(what))
 }
 
 /// One user's `(timestamp key, distribution)` observations — the shared
 /// row shape of the queryable track and the solver's aged history.
 pub(crate) type UserRow = (usize, Vec<(u64, Vec<f64>)>);
-
-fn wr_dists(buf: &mut BytesMut, rows: &[(u64, Vec<f64>)]) {
-    buf.put_u64_le(rows.len() as u64);
-    for (key, dist) in rows {
-        buf.put_u64_le(*key);
-        buf.put_u64_le(dist.len() as u64);
-        for &v in dist {
-            buf.put_f64_le(v);
-        }
-    }
-}
-
-fn rd_dists(b: &mut Bytes, what: &str) -> Result<Vec<(u64, Vec<f64>)>, TgsError> {
-    let n = rd_count(b, 16, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = rd_u64(b, what)?;
-        let k = rd_count(b, 8, what)?;
-        let mut dist = Vec::with_capacity(k);
-        for _ in 0..k {
-            if b.remaining() < 8 {
-                return Err(corrupt(what));
-            }
-            dist.push(b.get_f64_le());
-        }
-        out.push((key, dist));
-    }
-    Ok(out)
-}
-
-/// Serializes rows of `(user id, [(key, distribution)])` — the shared
-/// shape of the queryable track and the solver's aged history rows.
-fn wr_user_rows(buf: &mut BytesMut, rows: &[UserRow]) {
-    for (user, observations) in rows {
-        buf.put_u64_le(*user as u64);
-        wr_dists(buf, observations);
-    }
-}
-
-fn rd_user_rows(b: &mut Bytes, n: usize, what: &str) -> Result<Vec<UserRow>, TgsError> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let user = usize::try_from(rd_u64(b, what)?).map_err(|_| corrupt(what))?;
-        out.push((user, rd_dists(b, what)?));
-    }
-    Ok(out)
-}
 
 /// Byte-level migration seam used by [`SentimentEngine`]'s
 /// `export_users_bytes` / `import_users_bytes` pair. Layout (all LE):
@@ -434,23 +365,28 @@ fn rd_user_rows(b: &mut Bytes, n: usize, what: &str) -> Result<Vec<UserRow>, Tgs
 /// `f64`s round-trip by bit pattern, so a local rebalance through bytes
 /// stays byte-identical to the former in-memory path.
 pub(crate) fn encode_user_range(track: &[UserRow], solver_rows: &[UserRow]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u64_le(track.len() as u64);
-    buf.put_u64_le(solver_rows.len() as u64);
-    wr_user_rows(&mut buf, track);
-    wr_user_rows(&mut buf, solver_rows);
-    buf.freeze().as_slice().to_vec()
+    let mut w = Writer::with_capacity(64);
+    w.usize(track.len());
+    w.usize(solver_rows.len());
+    for (user, observations) in track.iter().chain(solver_rows) {
+        w.usize(*user);
+        w.keyed_f64s(observations);
+    }
+    w.finish()
 }
 
 pub(crate) fn decode_user_range(bytes: &[u8]) -> Result<(Vec<UserRow>, Vec<UserRow>), TgsError> {
-    let mut b = Bytes::from(bytes.to_vec());
-    let track_n = rd_count(&mut b, 8, "track user count")?;
-    let solver_n = rd_count(&mut b, 8, "solver row count")?;
-    let track = rd_user_rows(&mut b, track_n, "track rows")?;
-    let solver = rd_user_rows(&mut b, solver_n, "solver rows")?;
-    if b.remaining() != 0 {
-        return Err(corrupt("trailing bytes"));
-    }
+    let mut r = Reader::new(bytes);
+    let track_n = r.count(8, "migrated track user count")?;
+    let solver_n = r.count(8, "migrated solver row count")?;
+    let mut rows = |n: usize, field| {
+        (0..n)
+            .map(|_| Ok((r.usize(field)?, r.keyed_f64s(field)?)))
+            .collect::<Result<Vec<UserRow>, CodecError>>()
+    };
+    let track = rows(track_n, "migrated track rows")?;
+    let solver = rows(solver_n, "migrated solver rows")?;
+    r.done("migrated solver rows")?;
     Ok((track, solver))
 }
 

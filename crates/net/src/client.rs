@@ -9,7 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use tgs_core::TgsError;
+use tgs_core::codec::{self, CodecError, CodecErrorKind};
+use tgs_core::{decode_matrix, TgsError};
 use tgs_engine::{
     ClusterSummary, EngineSnapshot, EngineStats, ShardTransport, TimelineEntry, UserSentiment,
 };
@@ -17,7 +18,7 @@ use tgs_linalg::DenseMatrix;
 
 use crate::fault::{splitmix, FaultKind, FaultPolicy};
 use crate::frame::{read_response, write_request, STATUS_ERR, STATUS_OK};
-use crate::wire::{self, op, Rd, Wr};
+use crate::wire::{self, op};
 
 /// Timeouts and retry budget for one [`TcpShard`].
 #[derive(Debug, Clone)]
@@ -301,7 +302,7 @@ impl TcpShard {
         opcode: u8,
         generation: u64,
         payload: &[u8],
-        parse: impl FnOnce(&[u8]) -> Result<T, String>,
+        parse: impl FnOnce(&[u8]) -> Result<T, CodecError>,
     ) -> Result<T, TgsError> {
         let started = Instant::now();
         let mut backoff = self.cfg.backoff_base;
@@ -356,17 +357,8 @@ impl TcpShard {
     /// Server metadata: the declared user range (if any) and how many
     /// slots are live.
     pub fn server_info(&self) -> Result<ServerInfo, TgsError> {
-        self.call(op::SERVER_INFO, 0, &[], |body| {
-            let mut r = Rd::new(body);
-            let range = match r.u8("range tag")? {
-                0 => None,
-                1 => Some((r.usize("range lo")?, r.usize("range hi")?)),
-                t => return Err(format!("bad range tag {t}")),
-            };
-            let slots = r.usize("slot count")?;
-            r.done()?;
-            Ok(ServerInfo { range, slots })
-        })
+        let (range, slots) = self.call(op::SERVER_INFO, 0, &[], wire::dec_server_info)?;
+        Ok(ServerInfo { range, slots })
     }
 }
 
@@ -390,10 +382,8 @@ impl ShardTransport for TcpShard {
     }
 
     fn timeline(&self, generation: u64, lo: u64, hi: u64) -> Result<Vec<TimelineEntry>, TgsError> {
-        let mut w = Wr::new();
-        w.u64(lo);
-        w.u64(hi);
-        self.call(op::TIMELINE, generation, &w.finish(), wire::dec_timeline)
+        let payload = wire::enc_pair(lo, hi);
+        self.call(op::TIMELINE, generation, &payload, wire::dec_timeline)
     }
 
     fn latest_timestamp(&self, generation: u64) -> Result<Option<u64>, TgsError> {
@@ -406,13 +396,10 @@ impl ShardTransport for TcpShard {
         user: usize,
         at: u64,
     ) -> Result<UserSentiment, TgsError> {
-        let mut w = Wr::new();
-        w.usize(user);
-        w.u64(at);
         self.call(
             op::USER_SENTIMENT,
             generation,
-            &w.finish(),
+            &wire::enc_pair(user as u64, at),
             wire::dec_user_sentiment,
         )
     }
@@ -432,9 +419,7 @@ impl ShardTransport for TcpShard {
 
     fn known_users(&self, generation: u64) -> Result<usize, TgsError> {
         self.call(op::KNOWN_USERS, generation, &[], |b| {
-            wire::dec_u64(b).and_then(|v| {
-                usize::try_from(v).map_err(|_| "user count exceeds usize".to_string())
-            })
+            codec::decode(b, "user count", |r| r.usize("user count"))
         })
     }
 
@@ -448,7 +433,9 @@ impl ShardTransport for TcpShard {
     }
 
     fn sf_at(&self, generation: u64, t: u64) -> Result<DenseMatrix, TgsError> {
-        self.call(op::SF_AT, generation, &wire::enc_u64(t), wire::dec_matrix)
+        self.call(op::SF_AT, generation, &wire::enc_u64(t), |b| {
+            decode_matrix(b).ok_or(CodecError::new("sf matrix", CodecErrorKind::Shape))
+        })
     }
 
     fn flush(&self) -> Result<u64, TgsError> {
@@ -464,10 +451,7 @@ impl ShardTransport for TcpShard {
     }
 
     fn k(&self) -> Result<usize, TgsError> {
-        self.call(op::K, 0, &[], |b| {
-            wire::dec_u64(b)
-                .and_then(|v| usize::try_from(v).map_err(|_| "k exceeds usize".to_string()))
-        })
+        self.call(op::K, 0, &[], |b| codec::decode(b, "k", |r| r.usize("k")))
     }
 
     fn vocab_tokens(&self) -> Result<Vec<String>, TgsError> {
@@ -501,10 +485,8 @@ impl ShardTransport for TcpShard {
     }
 
     fn export_users(&self, lo: usize, hi: usize) -> Result<Vec<u8>, TgsError> {
-        let mut w = Wr::new();
-        w.usize(lo);
-        w.usize(hi);
-        self.call(op::EXPORT_USERS, 0, &w.finish(), |b| Ok(b.to_vec()))
+        let payload = wire::enc_pair(lo as u64, hi as u64);
+        self.call(op::EXPORT_USERS, 0, &payload, |b| Ok(b.to_vec()))
     }
 
     fn import_users(&self, users: &[u8]) -> Result<(), TgsError> {

@@ -17,11 +17,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use tgs_core::codec::{CodecError, CodecErrorKind};
 use tgs_core::TgsError;
 use tgs_engine::{EngineCheckpoint, LocalShard, SentimentEngine, ShardTransport};
 
 use crate::frame::{read_request, write_response, Request, STATUS_ERR, STATUS_OK};
-use crate::wire::{self, op, Wr};
+use crate::wire::{self, op};
 
 /// How often blocked readers and the accept loop re-check the stop
 /// flag. Short enough for prompt shutdown, long enough to stay idle.
@@ -187,8 +188,13 @@ fn serve_conn(mut stream: TcpStream, srv: Arc<Srv>) {
     }
 }
 
-fn bad_payload(detail: String) -> TgsError {
+fn bad_payload(detail: CodecError) -> TgsError {
     TgsError::invalid_argument(format!("bad request payload: {detail}"))
+}
+
+/// A request field that must fit this platform's `usize`.
+fn usize_field(v: u64, field: &'static str) -> Result<usize, TgsError> {
+    usize::try_from(v).map_err(|_| bad_payload(CodecError::new(field, CodecErrorKind::TooLarge(v))))
 }
 
 fn slot_of(srv: &Srv, slot: u64) -> Result<Arc<dyn ShardTransport>, TgsError> {
@@ -233,19 +239,7 @@ fn dispatch(srv: &Srv, request: Request) -> Result<Vec<u8>, TgsError> {
     let payload = payload.as_slice();
     match opcode {
         op::PING | op::TERMINATE => Ok(Vec::new()),
-        op::SERVER_INFO => {
-            let mut w = Wr::new();
-            match srv.range {
-                Some((lo, hi)) => {
-                    w.u8(1);
-                    w.usize(lo);
-                    w.usize(hi);
-                }
-                None => w.u8(0),
-            }
-            w.usize(srv.slots.lock().len());
-            Ok(w.finish())
-        }
+        op::SERVER_INFO => Ok(wire::enc_server_info(srv.range, srv.slots.lock().len())),
         op::SHUTDOWN_SLOT => {
             // Idempotent: removing an absent slot is a success, so a
             // retried teardown cannot fail the fleet shutdown.
@@ -274,10 +268,7 @@ fn dispatch(srv: &Srv, request: Request) -> Result<Vec<u8>, TgsError> {
         op::STATS => slot_of(srv, slot)?.stats().map(|s| wire::enc_stats(&s)),
         op::TIMESTAMPS => slot_of(srv, slot)?.timestamps().map(|t| wire::enc_u64s(&t)),
         op::TIMELINE => {
-            let mut r = wire::Rd::new(payload);
-            let lo = r.u64("timeline lo").map_err(bad_payload)?;
-            let hi = r.u64("timeline hi").map_err(bad_payload)?;
-            r.done().map_err(bad_payload)?;
+            let (lo, hi) = wire::dec_pair(payload).map_err(bad_payload)?;
             slot_of(srv, slot)?
                 .timeline(generation, lo, hi)
                 .map(|t| wire::enc_timeline(&t))
@@ -286,12 +277,9 @@ fn dispatch(srv: &Srv, request: Request) -> Result<Vec<u8>, TgsError> {
             .latest_timestamp(generation)
             .map(wire::enc_opt_u64),
         op::USER_SENTIMENT => {
-            let mut r = wire::Rd::new(payload);
-            let user = r.usize("user").map_err(bad_payload)?;
-            let at = r.u64("at").map_err(bad_payload)?;
-            r.done().map_err(bad_payload)?;
+            let (user, at) = wire::dec_pair(payload).map_err(bad_payload)?;
             slot_of(srv, slot)?
-                .user_sentiment(generation, user, at)
+                .user_sentiment(generation, usize_field(user, "user")?, at)
                 .map(|s| wire::enc_user_sentiment(&s))
         }
         op::USER_TIMELINE => {
@@ -313,7 +301,7 @@ fn dispatch(srv: &Srv, request: Request) -> Result<Vec<u8>, TgsError> {
             let t = wire::dec_u64(payload).map_err(bad_payload)?;
             slot_of(srv, slot)?
                 .sf_at(generation, t)
-                .map(|m| wire::enc_matrix(&m))
+                .map(|m| tgs_core::encode_matrix(&m).as_slice().to_vec())
         }
         op::K => slot_of(srv, slot)?.k().map(|k| wire::enc_u64(k as u64)),
         op::VOCAB_TOKENS => slot_of(srv, slot)?
@@ -336,11 +324,9 @@ fn dispatch(srv: &Srv, request: Request) -> Result<Vec<u8>, TgsError> {
                 .map(|d| wire::enc_opt_bytes(d.as_deref()))
         }
         op::EXPORT_USERS => {
-            let mut r = wire::Rd::new(payload);
-            let lo = r.usize("export lo").map_err(bad_payload)?;
-            let hi = r.usize("export hi").map_err(bad_payload)?;
-            r.done().map_err(bad_payload)?;
-            slot_of(srv, slot)?.export_users(lo, hi)
+            let (lo, hi) = wire::dec_pair(payload).map_err(bad_payload)?;
+            slot_of(srv, slot)?
+                .export_users(usize_field(lo, "export lo")?, usize_field(hi, "export hi")?)
         }
         op::IMPORT_USERS => slot_of(srv, slot)?
             .import_users(payload)

@@ -4,7 +4,7 @@
 //! with a hex literal, then decodes the literal and compares the value.
 //! A change to any payload layout fails here before it reaches a peer.
 
-use tripartite_sentiment::core::{TgsError, TgsErrorKind};
+use tripartite_sentiment::core::{decode_matrix, encode_matrix, TgsError, TgsErrorKind};
 use tripartite_sentiment::engine::{
     ClusterSummary, DocContent, EngineRetweet, EngineSnapshot, EngineStats, LatencyHistogram,
     TimelineEntry, UserSentiment,
@@ -181,8 +181,8 @@ fn query_payloads() {
     // The SF_AT payload: `rows | cols | row-major f64s`.
     let m = DenseMatrix::from_vec(1, 2, vec![0.5, 2.0]).unwrap();
     let golden = "01000000000000000200000000000000000000000000e03f0000000000000040";
-    assert_eq!(hex(&wire::enc_matrix(&m)), golden);
-    let back = wire::dec_matrix(&unhex(golden)).unwrap();
+    assert_eq!(hex(encode_matrix(&m).as_slice()), golden);
+    let back = decode_matrix(unhex(golden)).unwrap();
     assert_eq!((back.rows(), back.cols()), (1, 2));
     assert_eq!(back.as_slice(), m.as_slice());
 }
@@ -267,4 +267,28 @@ fn error_payloads() {
         wire::dec_error(&unhex("ff"), "peer").kind(),
         TgsErrorKind::Net
     );
+}
+
+#[test]
+fn request_and_server_info_payloads() {
+    // `(lo, hi)` for TIMELINE and EXPORT_USERS, `(user, at)` for
+    // USER_SENTIMENT: two little-endian u64s.
+    let golden = "03000000000000000900000000000000";
+    assert_eq!(hex(&wire::enc_pair(3, 9)), golden);
+    assert_eq!(wire::dec_pair(&unhex(golden)).unwrap(), (3, 9));
+
+    for (range, slots, golden) in [
+        (
+            Some((0, 50)),
+            2,
+            "01000000000000000032000000000000000200000000000000",
+        ),
+        (None, 0, "000000000000000000"),
+    ] {
+        assert_eq!(hex(&wire::enc_server_info(range, slots)), golden);
+        assert_eq!(
+            wire::dec_server_info(&unhex(golden)).unwrap(),
+            (range, slots)
+        );
+    }
 }
