@@ -247,9 +247,10 @@ fn ghost_mode_with_mid_stream_rebalance_drops_nothing() {
 #[test]
 fn v1_sharded_checkpoints_are_rejected_typed() {
     // The v1 stride-map header (magic `TGSSHR\0\x01`: shards, universe,
-    // stride, fingerprint, then the sections) is no longer read. A v1
-    // stream is not sniffed as multi-shard, and every restore path fails
-    // it as corrupt instead of panicking or routing users by a guess.
+    // stride, fingerprint, then the sections) is not a supported format.
+    // A v1 stream is not sniffed as multi-shard, and every restore path
+    // fails it as corrupt instead of panicking or routing users by a
+    // guess.
     let c = corpus();
     let engine = fleet(&c, 2, false);
     stream(&engine, &c, &windows(&c));
