@@ -13,8 +13,10 @@
 //!   cannot trigger a large allocation;
 //! * magic prefixes, bools and tags are checked against their domains;
 //! * [`Reader::done`] requires the input to be consumed exactly;
-//! * fixed-width `(key, k × f64)` records are cut from one slice in one
-//!   pass ([`Reader::rows`]);
+//! * a `(kind, key, len, body)` record's body is bounded by its length
+//!   before it is handed out ([`Reader::record`]);
+//! * a run of fixed-width `(key, k × f64)` rows must fill its input
+//!   exactly, and is cut from one slice in one pass ([`Reader::rows`]);
 //! * an encoded matrix's header is checked against its length before the
 //!   bytes are handed out for adoption ([`Reader::encoded_matrix`]).
 //!
@@ -269,27 +271,46 @@ impl<'a> Reader<'a> {
             .collect()
     }
 
-    /// A count-prefixed list of fixed-width records — a `u64` key (mapped
-    /// through `key`) followed by `k` `f64`s — the mirror of
-    /// [`Writer::rows`]. The count check proves the whole run present, so
-    /// the records are cut from one slice in one pass.
+    /// Fixed-width rows — a `u64` key (mapped through `key`) followed by
+    /// `k` `f64`s — filling every remaining byte: the mirror of
+    /// [`Writer::rows`]. The run has no count; its length must be a whole
+    /// number of rows, which are cut from one slice in one pass.
     pub fn rows<K>(
         &mut self,
         k: usize,
         field: &'static str,
         key: impl Fn(u64) -> K,
     ) -> Result<Vec<(K, Vec<f64>)>, CodecError> {
-        let record = k.saturating_add(1).saturating_mul(8);
-        let count = self.count(record, field)?;
-        let run = self.take(count * record, field)?;
+        let width = k.saturating_add(1).saturating_mul(8);
+        let rest = self.remaining() % width;
+        if rest != 0 {
+            return Err(CodecError::new(field, CodecErrorKind::Trailing(rest)));
+        }
+        let run = self.take(self.remaining(), field)?;
         Ok(run
-            .chunks_exact(record)
-            .map(|rec| {
-                let (head, values) = rec.split_at(8);
+            .chunks_exact(width)
+            .map(|row| {
+                let (head, values) = row.split_at(8);
                 let head = u64::from_le_bytes(head.try_into().expect("8-byte key"));
                 (key(head), f64_run(values))
             })
             .collect())
+    }
+
+    /// One `(kind: u8, key: u64, len: u64, body)` record — the mirror of
+    /// [`Writer::record`]. The body is borrowed from the input after its
+    /// length has been checked against the bytes that remain.
+    pub fn record(&mut self, field: &'static str) -> Result<Record<'a>, CodecError> {
+        let start = self.rest;
+        let kind = self.u8(field)?;
+        let key = self.u64(field)?;
+        let body = self.bytes(field)?;
+        Ok(Record {
+            kind,
+            key,
+            body,
+            raw: &start[..start.len() - self.remaining()],
+        })
     }
 
     /// A length-prefixed `encode_matrix` buffer, borrowed from the input
@@ -306,6 +327,16 @@ impl<'a> Reader<'a> {
         decode_matrix(self.encoded_matrix(field)?)
             .ok_or(CodecError::new(field, CodecErrorKind::Shape))
     }
+}
+
+/// One `(kind, key, len, body)` record, borrowed from its input: `raw`
+/// is the whole record as stored, header included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'a> {
+    pub kind: u8,
+    pub key: u64,
+    pub body: &'a [u8],
+    pub raw: &'a [u8],
 }
 
 /// Little-endian `f64`s from a slice whose length is a multiple of 8.
@@ -400,14 +431,25 @@ impl Writer {
         }
     }
 
-    /// A count-prefixed list of fixed-width `(u64 key, f64s)` records; the
-    /// reader supplies the width ([`Reader::rows`]).
-    pub fn rows<'r>(&mut self, rows: impl ExactSizeIterator<Item = (u64, &'r [f64])>) {
-        self.usize(rows.len());
+    /// Fixed-width `(u64 key, f64s)` rows with no count: the reader
+    /// supplies the width and takes every remaining byte ([`Reader::rows`]).
+    pub fn rows<'r>(&mut self, rows: impl Iterator<Item = (u64, &'r [f64])>) {
         for (key, values) in rows {
             self.u64(key);
             values.iter().for_each(|&x| self.f64(x));
         }
+    }
+
+    /// A `(kind, key, len, body)` record whose body `body` writes; the
+    /// length is filled in afterwards.
+    pub fn record(&mut self, kind: u8, key: u64, body: impl FnOnce(&mut Writer)) {
+        self.u8(kind);
+        self.u64(key);
+        let at = self.0.len();
+        self.u64(0);
+        body(self);
+        let len = (self.0.len() - at - 8) as u64;
+        self.0[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -509,6 +551,42 @@ mod tests {
             kind(Reader::new(&w.finish()).str("text").map(drop), "text"),
             CodecErrorKind::Utf8
         );
+    }
+
+    #[test]
+    fn records_frame_their_bodies() {
+        let mut w = Writer::new();
+        w.record(2, 7, |w| {
+            w.rows([(1u64, &[0.5][..]), (2, &[1.5][..])].into_iter())
+        });
+        w.record(3, 0, |_| {});
+        let buf = w.finish();
+        let mut r = Reader::new(&buf);
+        let first = r.record("record").unwrap();
+        assert_eq!((first.kind, first.key, first.body.len()), (2, 7, 32));
+        assert_eq!(first.raw, &buf[..17 + 32]);
+        assert_eq!(
+            Reader::new(first.body).rows(1, "rows", |k| k).unwrap(),
+            vec![(1, vec![0.5]), (2, vec![1.5])]
+        );
+        assert_eq!(
+            Reader::new(&first.body[..31])
+                .rows(1, "rows", |k| k)
+                .unwrap_err()
+                .kind,
+            CodecErrorKind::Trailing(15)
+        );
+        let last = r.record("record").unwrap();
+        assert_eq!((last.kind, last.key, last.body), (3, 0, &[][..]));
+        r.done("records").unwrap();
+
+        // A body length one past the input is refused before the body.
+        let mut lying = buf.clone();
+        lying[9..17].copy_from_slice(&(buf.len() as u64 - 16).to_le_bytes());
+        assert!(matches!(
+            Reader::new(&lying).record("record").unwrap_err().kind,
+            CodecErrorKind::Count { .. }
+        ));
     }
 
     #[test]

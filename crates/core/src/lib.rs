@@ -73,5 +73,7 @@ pub use sharded::{
     GhostRowLink, ShardedOfflineResult, ShardedOnlineSolver, ShardedStepOutcome,
 };
 pub use store::{decode_matrix, encode_matrix, encoded_shape, SnapshotStore};
-pub use window::{FactorWindow, HistoryRows, SentimentHistory, UserHistoryRows, UserPartition};
+pub use window::{
+    FactorWindow, HistoryRows, SentimentHistory, UserHistory, UserHistoryRows, UserPartition,
+};
 pub use workspace::UpdateWorkspace;

@@ -42,6 +42,8 @@ pub struct OnlineStepResult {
     pub converged: bool,
     /// Final objective value (Eq. 19).
     pub objective: f64,
+    /// Users this step's pruning shortened but did not record, sorted.
+    pub pruned_users: Vec<usize>,
 }
 
 impl OnlineStepResult {
@@ -162,18 +164,9 @@ impl OnlineSolver {
         }
     }
 
-    /// The per-user history's global step counter — exposed so delta
-    /// checkpoints can record the counter without the O(users) clone of
-    /// [`OnlineSolver::export_state`].
-    pub fn history_step(&self) -> i64 {
-        self.history.steps()
-    }
-
-    /// Exports the history rows of just the given users (see
-    /// [`crate::window::SentimentHistory::export_rows_for`]) — the
-    /// O(changes) read behind delta checkpoints.
-    pub fn export_history_rows_for(&self, users: &[usize]) -> crate::window::HistoryRows {
-        self.history.export_rows_for(users)
+    /// The per-user history, borrowed — what checkpoints serialize.
+    pub fn history(&self) -> &SentimentHistory {
+        &self.history
     }
 
     /// The `Sf` window's retained snapshots, most recent first, without
@@ -528,8 +521,9 @@ impl OnlineSolver {
         let mut su_dist = factors.su.clone();
         su_dist.normalize_rows_l1();
         // Ghost rows are withheld: the owning shard records those users.
-        self.history
-            .record_masked(data.user_ids, &su_dist, &partition.ghost_rows);
+        let pruned_users =
+            self.history
+                .record_masked(data.user_ids, &su_dist, &partition.ghost_rows);
         // Under a shared window the coordinator pushes the *merged* Sf(t)
         // after gathering every shard; pushing the local one here would
         // desynchronize the two windows.
@@ -545,6 +539,7 @@ impl OnlineSolver {
             iterations,
             converged,
             objective: prev.total(),
+            pruned_users,
         })
     }
 

@@ -125,25 +125,9 @@ impl SnapshotStore {
         self.entries.iter().map(|(t, b)| (*t, b.clone()))
     }
 
-    /// Removes the snapshot stored under `timestamp`, returning whether
-    /// one was present. No eviction runs (removal only frees budget) —
-    /// this is the raw half of delta-checkpoint reconciliation, where a
-    /// base store is edited into an exact target store.
-    pub fn remove(&mut self, timestamp: u64) -> bool {
-        if let Some(pos) = self.entries.iter().position(|(t, _)| *t == timestamp) {
-            if let Some((_, old)) = self.entries.remove(pos) {
-                self.used_bytes -= old.len();
-            }
-            true
-        } else {
-            false
-        }
-    }
-
     /// Stores pre-encoded snapshot bytes under `timestamp` with the same
     /// overwrite/eviction semantics as [`SnapshotStore::put`] (which
-    /// delegates here) — the append half of delta-checkpoint
-    /// reconciliation and the checkpoint decoder's store path, adopting
+    /// delegates here) — the checkpoint decoder's store path, adopting
     /// bytes another store produced without a decode/encode round trip.
     /// The bytes are kept as given: callers validate them (see
     /// [`encoded_shape`]) and pass an owned buffer, not a view that would
@@ -248,29 +232,6 @@ mod tests {
             .map(|(t, b)| (t, decode_matrix(b).unwrap().get(0, 0)))
             .collect();
         assert_eq!(decoded, vec![(9, 9.0), (3, 3.0), (6, 6.0)]);
-    }
-
-    #[test]
-    fn remove_and_push_encoded_reconcile_exactly() {
-        let mut a = SnapshotStore::new(1 << 20);
-        a.put(1, &DenseMatrix::filled(1, 1, 1.0));
-        a.put(2, &DenseMatrix::filled(1, 1, 2.0));
-        a.put(3, &DenseMatrix::filled(1, 1, 3.0));
-        let mut b = SnapshotStore::new(1 << 20);
-        b.put(2, &DenseMatrix::filled(1, 1, 2.0));
-        b.put(3, &DenseMatrix::filled(1, 1, 3.0));
-        b.put(4, &DenseMatrix::filled(1, 1, 4.0));
-        // Edit `a` into `b`: drop 1, append 4's encoded bytes.
-        assert!(a.remove(1));
-        assert!(!a.remove(1), "second removal is a no-op");
-        let appended: Vec<(u64, Bytes)> = b.iter().filter(|(t, _)| *t == 4).collect();
-        for (t, bytes) in appended {
-            a.push_encoded(t, bytes);
-        }
-        let av: Vec<(u64, Bytes)> = a.iter().collect();
-        let bv: Vec<(u64, Bytes)> = b.iter().collect();
-        assert_eq!(av, bv, "reconciled store matches entry-for-entry");
-        assert_eq!(a.used_bytes(), b.used_bytes());
     }
 
     #[test]

@@ -14,6 +14,9 @@ use tgs_linalg::DenseMatrix;
 /// and an old observation landing on a young solver can predate step 0.
 pub type UserHistoryRows = Vec<(i64, Vec<f64>)>;
 
+/// A user's in-memory history: `(step, row)` observations, newest first.
+pub type UserHistory = VecDeque<(i64, Vec<f64>)>;
+
 /// The whole per-user history in checkpointable form: `(user, entries)`
 /// pairs sorted by user id.
 pub type HistoryRows = Vec<(usize, UserHistoryRows)>;
@@ -123,7 +126,7 @@ pub struct SentimentHistory {
     t: i64,
     /// Per user: recent `(step, row)` observations, front = newest.
     /// Steps are signed — see [`UserHistoryRows`].
-    rows: HashMap<usize, VecDeque<(i64, Vec<f64>)>>,
+    rows: HashMap<usize, UserHistory>,
 }
 
 /// The three user categories of the online framework, as *local row
@@ -241,32 +244,22 @@ impl SentimentHistory {
     /// with the newest first (the in-memory order). Pair with
     /// [`SentimentHistory::restore`].
     pub fn export_rows(&self) -> HistoryRows {
-        let mut out: HistoryRows = self
-            .rows
-            .iter()
-            .map(|(&u, hist)| (u, hist.iter().cloned().collect()))
-            .collect();
+        self.sorted_rows()
+            .into_iter()
+            .map(|(u, hist)| (u, hist.iter().cloned().collect()))
+            .collect()
+    }
+
+    /// [`SentimentHistory::export_rows`] borrowed instead of cloned.
+    pub fn sorted_rows(&self) -> Vec<(usize, &UserHistory)> {
+        let mut out: Vec<_> = self.rows.iter().map(|(&u, hist)| (u, hist)).collect();
         out.sort_unstable_by_key(|(u, _)| *u);
         out
     }
 
-    /// Exports the history of just the given users (same shape and
-    /// newest-first entry order as [`SentimentHistory::export_rows`],
-    /// sorted by user id, users without history skipped) — the
-    /// O(changes) read used by delta checkpoints, which only ship rows
-    /// for users touched since the base snapshot.
-    pub fn export_rows_for(&self, users: &[usize]) -> HistoryRows {
-        let mut out: HistoryRows = users
-            .iter()
-            .filter_map(|&u| {
-                self.rows
-                    .get(&u)
-                    .map(|hist| (u, hist.iter().cloned().collect()))
-            })
-            .collect();
-        out.sort_unstable_by_key(|(u, _)| *u);
-        out.dedup_by_key(|(u, _)| *u);
-        out
+    /// One user's `(step, row)` observations, newest first.
+    pub fn rows_of(&self, user: usize) -> Option<&UserHistory> {
+        self.rows.get(&user)
     }
 
     /// Rebuilds a history from checkpointed state: the global step
@@ -294,6 +287,7 @@ impl SentimentHistory {
         }
         let mut h = Self::new(k, window, tau, normalize);
         h.t = t;
+        h.rows.reserve(rows.len());
         for (user, entries) in rows {
             for (step, row) in &entries {
                 if row.len() != k {
@@ -344,7 +338,13 @@ impl SentimentHistory {
     /// (and recorded) by another shard, so committing it here would fork
     /// the user's history. The step counter still advances and pruning
     /// still runs; with an empty mask this is exactly `record`.
-    pub fn record_masked(&mut self, current_users: &[usize], su: &DenseMatrix, skip: &[usize]) {
+    /// Returns the users, sorted, that lost rows without being recorded.
+    pub fn record_masked(
+        &mut self,
+        current_users: &[usize],
+        su: &DenseMatrix,
+        skip: &[usize],
+    ) -> Vec<usize> {
         assert_eq!(current_users.len(), su.rows(), "one row per user required");
         assert_eq!(su.cols(), self.k, "class count mismatch");
         self.t += 1;
@@ -362,17 +362,19 @@ impl SentimentHistory {
         // who goes quiet keeps a decaying estimate instead of being
         // forgotten.
         let horizon = t - self.window.saturating_sub(1) as i64;
-        self.rows.retain(|_, hist| {
-            while hist.len() > 1 {
-                match hist.back() {
-                    Some(&(step, _)) if step <= horizon => {
-                        hist.pop_back();
-                    }
-                    _ => break,
-                }
+        let mut pruned = Vec::new();
+        self.rows.retain(|&user, hist| {
+            let before = hist.len();
+            while hist.len() > 1 && hist.back().is_some_and(|&(step, _)| step <= horizon) {
+                hist.pop_back();
+            }
+            if hist.len() < before && hist.front().is_some_and(|&(step, _)| step != t) {
+                pruned.push(user);
             }
             !hist.is_empty()
         });
+        pruned.sort_unstable();
+        pruned
     }
 
     /// Removes and returns the history of every user with id in
@@ -625,6 +627,23 @@ mod tests {
         assert!(h.knows(10));
         assert!(!h.knows(20), "masked row must not be recorded");
         assert_eq!(h.steps(), 1);
+    }
+
+    #[test]
+    fn record_masked_reports_the_users_its_pruning_changed() {
+        // Window 3 keeps two steps: user 1, seen at steps 1 and 2, loses
+        // the older row at step 3 without being recorded there.
+        let mut h = SentimentHistory::new(2, 3, 0.5, false);
+        let one = DenseMatrix::from_vec(1, 2, vec![0.5, 0.5]).unwrap();
+        assert!(h.record_masked(&[1], &one, &[]).is_empty());
+        assert!(h.record_masked(&[1], &one, &[]).is_empty());
+        assert_eq!(h.record_masked(&[2], &one, &[]), vec![1]);
+        // A single remaining row is kept; a user pruned while recorded
+        // (user 2, seen at steps 3 and 4, loses step 3 at step 5) is not
+        // reported.
+        assert!(h.record_masked(&[2], &one, &[]).is_empty());
+        assert!(h.record_masked(&[2], &one, &[]).is_empty());
+        assert_eq!(h.rows_of(1).map(VecDeque::len), Some(1));
     }
 
     #[test]

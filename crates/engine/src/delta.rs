@@ -1,48 +1,55 @@
 //! Delta-encoded incremental checkpoints: O(changes) snapshots.
 //!
-//! A full [`EngineCheckpoint`] re-encodes
-//! O(state) — vocabulary, every user's history, every retained factor
-//! snapshot — on every call. Between consecutive steps of the paper's
-//! online algorithm only the rows touched by new documents change, so a
-//! checkpoint can instead ship a **base** plus per-step **deltas**:
+//! A full [`EngineCheckpoint`] costs O(state) on every call, but between
+//! steps of the paper's online algorithm only the records of the users
+//! and timestamps new documents touched change. So the engine can ship a
+//! **base** plus per-step **deltas**:
+//! [`SentimentEngine::checkpoint_base`](crate::SentimentEngine::checkpoint_base)
+//! registers a full checkpoint as a *mark* (an engine-local `u64` id),
+//! [`SentimentEngine::delta_since`](crate::SentimentEngine::delta_since)
+//! encodes the records that changed since a mark as a [`CheckpointDelta`]
+//! (registering its tip as the next mark), and
+//! [`SentimentEngine::apply_delta`](crate::SentimentEngine::apply_delta)
+//! folds it into the base, **byte-identical** to the full checkpoint at
+//! the tip. A [`DeltaChain`] applies each delta as it arrives.
 //!
-//! * [`SentimentEngine::checkpoint_base`](crate::SentimentEngine::checkpoint_base)
-//!   takes a full checkpoint and registers it as a *mark* (an engine-local
-//!   `u64` id) with the engine's `DeltaTracker`;
-//! * [`SentimentEngine::delta_since`](crate::SentimentEngine::delta_since)
-//!   encodes everything that changed since a mark — touched users'
-//!   history rows and track appends, new timeline entries, and the
-//!   factor stores' removed/appended entries — as a [`CheckpointDelta`],
-//!   registering the new tip as a mark so chains extend;
-//! * [`SentimentEngine::apply_delta`](crate::SentimentEngine::apply_delta)
-//!   folds a delta into a base, producing bytes **identical** to the
-//!   full checkpoint the engine would have written at the delta's tip
-//!   (the reconstruction re-runs the deterministic full encoder, so byte
-//!   equality follows from state equality);
-//! * [`DeltaChain`] keeps a base plus its deltas and **compacts** —
-//!   materializes a fresh base — once the chain's byte cost exceeds the
-//!   base's, bounding both storage and recovery replay cost.
+//! **Format (v2).** After the magic and the `(base id, new id)` header, a
+//! delta is a run of `(op: u8, record)` pairs strictly ascending by the
+//! record's `(kind, key)` ([`crate::checkpoint`] lists the kinds): a
+//! *put* replaces or inserts a record, a *remove* drops an evicted store
+//! entry, and an *append* adds rows to a track. Each record is written by
+//! the full checkpoint's per-kind writer, so applying is one merge pass:
+//! untouched base records are copied as bytes, and each delta record is
+//! checked by the per-kind reader restore uses. The delta carries every
+//! record that changed: the solver record; the history of every user the
+//! span touched *or* pruned (window pruning shortens silent users'
+//! history too); a track append per touched user; a timeline entry per
+//! step; and per store, its index and the entries that came or went.
 //!
-//! Deltas are *unavailable* (not an error — `Ok(None)`) when the engine
-//! cannot prove O(changes) coverage: an unknown or trimmed mark, or a
-//! structural epoch bump (user migration / absorb rewrites state outside
-//! the append-only stream). Callers fall back to a fresh base.
+//! Deltas are *unavailable* (`Ok(None)`, not an error) when the engine
+//! cannot prove coverage: an unknown or trimmed mark, or an epoch bump
+//! (user migration or absorb rewrites state outside the append-only
+//! stream). Callers fall back to a fresh base.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
-use tgs_core::codec::{CodecError, Reader, Writer};
-use tgs_core::{OnlineSolver, OnlineSolverState, SnapshotStore, TgsError};
-use tgs_linalg::DenseMatrix;
+use tgs_core::codec::{Reader, Writer};
+use tgs_core::{OnlineSolver, SnapshotStore, TgsError};
 
 use crate::checkpoint::{
-    self, rd_store_entries, rd_timeline_entry, rd_window, resolve_window, timeline_entry_floor,
-    wr_timeline_entry, wr_window, EngineCheckpoint,
+    self, in_order, rd_body, wr_index, wr_rows, wr_solver, wr_timeline, EngineCheckpoint, Records,
+    HISTORY, SF_ENTRY, SF_INDEX, SP_ENTRY, SP_INDEX, TRACK,
 };
-use crate::engine::{EngineShared, EngineState};
+use crate::engine::EngineState;
 
-/// Magic + format version prefix of a serialized delta.
-const MAGIC: &[u8; 8] = b"TGSDLT\x00\x01";
+/// Magic + format version prefix of a serialized delta (v2: record ops).
+const MAGIC: &[u8; 8] = b"TGSDLT\x00\x02";
+
+// Delta ops: replace or insert a record, drop one, append track rows.
+const PUT: u8 = 0;
+const REMOVE: u8 = 1;
+const APPEND: u8 = 2;
 
 /// Marks retained per engine: a delta can only be requested against one
 /// of the last this-many bases/tips. Old marks age out silently (their
@@ -58,18 +65,19 @@ const MAX_RECORDS: usize = 4096;
 // Dirty tracking
 // ---------------------------------------------------------------------
 
-/// One committed step's footprint: which timestamp landed and which
-/// (non-ghost) users it touched.
+/// One committed step's footprint: which timestamp landed, which
+/// (non-ghost) users it touched, and which users' history lost rows to
+/// the window pruning.
 #[derive(Debug, Clone)]
 struct ChangeRecord {
     /// Absolute commit sequence number (0-based over the engine's life).
     seq: u64,
     timestamp: u64,
-    users: Vec<usize>,
+    touched: Vec<usize>,
+    pruned: Vec<usize>,
 }
 
-/// A registered base/tip: everything needed to later diff the live state
-/// against the state at registration time.
+/// A registered base/tip: what a later delta needs to know of it.
 #[derive(Debug, Clone)]
 struct Mark {
     /// Commit count at registration: records with `seq >= this` are the
@@ -77,10 +85,8 @@ struct Mark {
     seq: u64,
     /// Structural epoch at registration (see [`DeltaTracker::bump_epoch`]).
     epoch: u64,
-    /// `sf_store` timestamps at registration, in insertion order.
-    sf_ts: Vec<u64>,
-    /// `sp_store` timestamps at registration, in insertion order.
-    sp_ts: Vec<u64>,
+    /// The `Sf` and `Sp` stores' timestamps at registration.
+    store_ts: [Vec<u64>; 2],
 }
 
 /// The engine's dirty-state log, fed by the ingest worker's commit path
@@ -100,9 +106,14 @@ pub(crate) struct DeltaTracker {
 }
 
 impl DeltaTracker {
-    /// Logs one committed step. Cheap when no marks are live (nothing
-    /// could ever ask for a delta spanning this step).
-    pub(crate) fn record_commit(&mut self, timestamp: u64, users: Vec<usize>) {
+    /// Logs one committed step: its timestamp, the users it recorded and
+    /// the users its window pruning shortened. Cheap with no live marks.
+    pub(crate) fn record_commit(
+        &mut self,
+        timestamp: u64,
+        touched: Vec<usize>,
+        pruned: Vec<usize>,
+    ) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.marks.is_empty() {
@@ -111,7 +122,8 @@ impl DeltaTracker {
         self.records.push_back(ChangeRecord {
             seq,
             timestamp,
-            users,
+            touched,
+            pruned,
         });
         while self.records.len() > MAX_RECORDS {
             self.records.pop_front();
@@ -136,8 +148,7 @@ impl DeltaTracker {
             Mark {
                 seq: self.next_seq,
                 epoch: self.epoch,
-                sf_ts: sf_store.iter().map(|(t, _)| t).collect(),
-                sp_ts: sp_store.iter().map(|(t, _)| t).collect(),
+                store_ts: [sf_store, sp_store].map(|s| s.iter().map(|(t, _)| t).collect()),
             },
         );
         while self.marks.len() > MAX_MARKS {
@@ -162,9 +173,9 @@ impl DeltaTracker {
 // The delta payload
 // ---------------------------------------------------------------------
 
-/// A serialized incremental checkpoint: everything that changed on one
-/// engine between a registered base (`base_id`) and the registration of
-/// its own tip (`new_id`). Produced by
+/// A serialized incremental checkpoint: every checkpoint record that
+/// changed on one engine between a registered base (`base_id`) and the
+/// registration of its own tip (`new_id`). Produced by
 /// [`SentimentEngine::delta_since`](crate::SentimentEngine::delta_since);
 /// folded into a base with
 /// [`SentimentEngine::apply_delta`](crate::SentimentEngine::apply_delta).
@@ -205,22 +216,24 @@ impl CheckpointDelta {
         self.bytes.is_empty()
     }
 
-    /// Checks the magic and reads the `(base id, new id)` header.
-    fn ids(&self) -> Result<(u64, u64), CodecError> {
+    /// The `(base id, new id)` header, and a reader at the first op.
+    fn header(&self) -> Result<(Reader<'_>, u64, u64), TgsError> {
         let mut r = Reader::new(self.as_bytes());
         r.magic(MAGIC, "tgs delta magic")?;
-        Ok((r.u64("base id")?, r.u64("new id")?))
+        let base_id = r.u64("base id")?;
+        let new_id = r.u64("new id")?;
+        Ok((r, base_id, new_id))
     }
 
     /// The mark id this delta applies on top of.
     pub fn base_id(&self) -> Result<u64, TgsError> {
-        Ok(self.ids()?.0)
+        Ok(self.header()?.1)
     }
 
     /// The mark id of the state this delta produces — the next delta in
     /// a chain names this as its `base_id`.
     pub fn new_id(&self) -> Result<u64, TgsError> {
-        Ok(self.ids()?.1)
+        Ok(self.header()?.2)
     }
 }
 
@@ -228,47 +241,10 @@ impl CheckpointDelta {
 // Encode (engine side, under the state lock)
 // ---------------------------------------------------------------------
 
-/// One snapshot-store diff: removed timestamps plus appended
-/// `(timestamp, encoded matrix)` pairs.
-type StoreDiff = (Vec<u64>, Vec<(u64, Bytes)>);
-
-/// The set difference between a store's marked timestamp list and its
-/// live entries. Stores only pop from the front (FIFO eviction) and
-/// append at the back within an epoch, so `(removed, appended)` replayed
-/// onto the marked store reproduces the live one entry-for-entry.
-fn store_diff(mark_ts: &[u64], store: &SnapshotStore) -> StoreDiff {
-    let live: Vec<(u64, Bytes)> = store.iter().collect();
-    let live_set: HashSet<u64> = live.iter().map(|(t, _)| *t).collect();
-    let mark_set: HashSet<u64> = mark_ts.iter().copied().collect();
-    let removed = mark_ts
-        .iter()
-        .copied()
-        .filter(|t| !live_set.contains(t))
-        .collect();
-    let appended = live
-        .into_iter()
-        .filter(|(t, _)| !mark_set.contains(t))
-        .collect();
-    (removed, appended)
-}
-
-fn wr_store_diff(w: &mut Writer, (removed, appended): &StoreDiff) {
-    w.usize(removed.len());
-    removed.iter().for_each(|&t| w.u64(t));
-    w.usize(appended.len());
-    for (t, bytes) in appended {
-        w.u64(*t);
-        w.bytes(bytes.as_slice());
-    }
-}
-
-/// Encodes the changes since `base_id`, registering the resulting tip as
-/// a new mark. `Ok(None)` means the mark cannot serve a delta (unknown /
-/// aged out / epoch bumped / log trimmed) and the caller should take a
-/// fresh base instead. Called by the engine with the queue drained and
-/// both locks held.
+/// Encodes the records changed since `base_id`, registering the tip as a
+/// new mark; `Ok(None)` when the mark cannot serve a delta. Called with
+/// the queue drained and both locks held.
 pub(crate) fn encode_delta(
-    shared: &EngineShared,
     solver: &OnlineSolver,
     state: &mut EngineState,
     base_id: u64,
@@ -292,85 +268,80 @@ pub(crate) fn encode_delta(
     if mark.seq < retained_floor {
         return Ok(None);
     }
-    let since: Vec<&ChangeRecord> = tracker
-        .records
-        .iter()
-        .filter(|r| r.seq >= mark.seq)
-        .collect();
 
-    let mut touched: BTreeSet<usize> = BTreeSet::new();
-    let mut appends_per_user: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut new_timestamps: Vec<u64> = Vec::with_capacity(since.len());
-    for r in &since {
+    let mut history_users: BTreeSet<usize> = BTreeSet::new();
+    let mut appends: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut new_timestamps = Vec::new();
+    for r in tracker.records.iter().filter(|r| r.seq >= mark.seq) {
         new_timestamps.push(r.timestamp);
-        for &u in &r.users {
-            touched.insert(u);
-            *appends_per_user.entry(u).or_insert(0) += 1;
+        history_users.extend(&r.pruned);
+        for &u in &r.touched {
+            history_users.insert(u);
+            *appends.entry(u).or_insert(0) += 1;
         }
     }
     new_timestamps.sort_unstable();
-
     let new_id = tracker.register_mark(sf_store, sp_store);
-    let k = shared.config.k;
 
+    // Ops in (kind, key) order: solver, history, track, timeline, stores.
     let mut w = Writer::with_capacity(1 << 12);
     w.raw(MAGIC);
     w.u64(base_id);
     w.u64(new_id);
-    w.usize(k);
-    w.u64(solver.steps());
-    // Signed via two's complement, like the full checkpoint.
-    w.u64(solver.history_step() as u64);
-
-    // --- Sf window: refs into the (reconciled) sf store, inline on
-    // eviction — the same compaction the full encoder applies, so the
-    // window ships as a handful of bytes in the common case. ---
-    let window: Vec<&DenseMatrix> = solver.sf_window_snapshots().collect();
-    wr_window(&mut w, window.into_iter(), sf_store);
-
-    // --- Touched users' history rows (wholesale replacement: the rows
-    // are window-bounded, so this is O(touched), not O(stream)). ---
-    let touched_vec: Vec<usize> = touched.iter().copied().collect();
-    let rows = solver.export_history_rows_for(&touched_vec);
-    w.usize(rows.len());
-    for (user, entries) in &rows {
-        w.usize(*user);
-        w.rows(
-            entries
-                .iter()
-                .map(|(step, row)| (*step as u64, row.as_slice())),
-        );
+    w.u8(PUT);
+    wr_solver(&mut w, solver, sf_store);
+    for user in history_users {
+        if let Some(rows) = solver.history().rows_of(user) {
+            w.u8(PUT);
+            wr_rows(&mut w, HISTORY, user, rows);
+        }
     }
-
-    // --- New timeline entries, ascending by timestamp. ---
-    w.usize(new_timestamps.len());
-    for &t in &new_timestamps {
-        let entry = timeline.get(&t).ok_or_else(|| {
-            TgsError::corrupt("delta: change log names a timestamp the timeline lacks")
-        })?;
-        wr_timeline_entry(&mut w, entry);
-    }
-
-    // --- Per-user track appends: the commit path pushes exactly one
-    // observation per touched user per step, so the last `n` entries of
-    // a user's track are precisely the ones this span appended. ---
-    w.usize(appends_per_user.len());
-    for (&user, &n) in &appends_per_user {
+    // The commit path pushes exactly one observation per touched user
+    // per step, so the last `n` entries of a user's track are precisely
+    // the ones this span appended.
+    for (&user, &n) in &appends {
         let track = user_track
             .get(&user)
             .filter(|track| track.len() >= n)
             .ok_or_else(|| TgsError::corrupt("delta: change log disagrees with a user's track"))?;
-        w.usize(user);
-        w.rows(
-            track[track.len() - n..]
-                .iter()
-                .map(|(t, d)| (*t, d.as_slice())),
-        );
+        w.u8(APPEND);
+        wr_rows(&mut w, TRACK, user, &track[track.len() - n..]);
     }
-
-    // --- Factor-store reconciliation. ---
-    wr_store_diff(&mut w, &store_diff(&mark.sf_ts, sf_store));
-    wr_store_diff(&mut w, &store_diff(&mark.sp_ts, sp_store));
+    for t in &new_timestamps {
+        let entry = timeline.get(t).ok_or_else(|| {
+            TgsError::corrupt("delta: change log names a timestamp the timeline lacks")
+        })?;
+        w.u8(PUT);
+        wr_timeline(&mut w, entry);
+    }
+    // Stores evict from the front and append at the back within an
+    // epoch: entries that arrived since the mark are among the new
+    // timestamps, and evicted ones are marked timestamps no longer live.
+    let stores = [
+        (SF_INDEX, SF_ENTRY, &*sf_store),
+        (SP_INDEX, SP_ENTRY, &*sp_store),
+    ];
+    for ((index, entry, store), marked) in stores.into_iter().zip(&mark.store_ts) {
+        let live: BTreeMap<u64, Bytes> = store.iter().collect();
+        let mut changed: BTreeMap<u64, (u8, &[u8])> = marked
+            .iter()
+            .filter(|t| !live.contains_key(t))
+            .map(|&t| (t, (REMOVE, &[][..])))
+            .collect();
+        changed.extend(
+            new_timestamps
+                .iter()
+                .filter_map(|t| live.get(t).map(|bytes| (*t, (PUT, bytes.as_slice())))),
+        );
+        if !changed.is_empty() {
+            w.u8(PUT);
+            wr_index(&mut w, index, store);
+        }
+        for (t, (op, bytes)) in changed {
+            w.u8(op);
+            w.record(entry, t, |w| w.raw(bytes));
+        }
+    }
 
     Ok(Some(CheckpointDelta {
         bytes: Bytes::from(w.finish()),
@@ -393,245 +364,113 @@ pub(crate) fn register_base(state: &mut EngineState) -> u64 {
 // Apply
 // ---------------------------------------------------------------------
 
-/// Per-user factor appends decoded from a delta section: each touched
-/// user with their `(step-or-timestamp, row)` entries.
-type UserRowAppends<T> = Vec<(usize, Vec<(T, Vec<f64>)>)>;
-
-fn rd_store_diff(r: &mut Reader<'_>) -> Result<StoreDiff, CodecError> {
-    let removed_n = r.count(8, "store removed count")?;
-    let removed = (0..removed_n)
-        .map(|_| r.u64("store removed timestamp"))
-        .collect::<Result<_, _>>()?;
-    Ok((removed, rd_store_entries(r, "store appended entry")?))
-}
-
-fn rd_user_rows<T>(
-    r: &mut Reader<'_>,
-    k: usize,
-    field: &'static str,
-    key: impl Fn(u64) -> T + Copy,
-) -> Result<UserRowAppends<T>, CodecError> {
-    let n = r.count(16, field)?;
-    (0..n)
-        .map(|_| Ok((r.usize(field)?, r.rows(k, field, key)?)))
-        .collect()
-}
-
-fn reconcile(store: &mut SnapshotStore, (removed, appended): StoreDiff) {
-    // Removals first: the surviving base entries keep their insertion
-    // order, then appends land behind them — matching the live store's
-    // FIFO history, so a later delta's diff lines up again.
-    for t in removed {
-        store.remove(t);
-    }
-    for (t, bytes) in appended {
-        store.push_encoded(t, bytes);
-    }
-}
-
-/// Folds `delta` into `base`, returning the full checkpoint of the
-/// delta's tip. Byte-identical to the checkpoint the source engine
-/// writes at that tip: the base is decoded, edited at the state level,
-/// and re-encoded through the same deterministic full encoder.
+/// Folds `delta` into `base`: the checkpoint at the delta's tip, byte for
+/// byte. One merge pass copies the base records the delta does not name
+/// and checks each delta record with the reader restore uses.
 pub fn apply_delta(
     base: &EngineCheckpoint,
     delta: &CheckpointDelta,
 ) -> Result<EngineCheckpoint, TgsError> {
-    let (shared, solver, mut state) = checkpoint::decode(base)?;
+    let mut records = Records::new(base.as_bytes())?;
+    let mut out = Writer::with_capacity(base.len() + delta.len());
+    out.raw(checkpoint::MAGIC);
+    let (head, shared) = records.head()?;
     let k = shared.config.k;
-    let base_state = solver.export_state();
+    out.raw(head.raw);
 
-    let mut r = Reader::new(delta.as_bytes());
-    r.magic(MAGIC, "tgs delta magic")?;
-    let _base_id = r.u64("base id")?;
-    let _new_id = r.u64("new id")?;
-    if r.usize("k")? != k {
-        return Err(TgsError::corrupt(
-            "delta: class count disagrees with the base checkpoint",
-        ));
-    }
-    let steps = r.u64("solver steps")?;
-    if steps < base_state.steps {
-        return Err(TgsError::corrupt(
-            "delta: solver steps regress from the base checkpoint",
-        ));
-    }
-    let history_step = r.u64("history step")? as i64;
-    if history_step < base_state.history_step {
-        return Err(TgsError::corrupt(
-            "delta: history step regresses from the base checkpoint",
-        ));
-    }
-
-    // --- Parse everything before mutating (truncation can't half-apply). ---
-    let window_entries = rd_window(&mut r)?;
-    let touched_rows = rd_user_rows(&mut r, k, "touched user rows", |step| step as i64)?;
-    let timeline_n = r.count(timeline_entry_floor(k), "timeline entry count")?;
-    let new_entries = (0..timeline_n)
-        .map(|_| rd_timeline_entry(&mut r, k))
-        .collect::<Result<Vec<_>, _>>()?;
-    let track_appends = rd_user_rows(&mut r, k, "track appends", |t| t)?;
-    let sf_diff = rd_store_diff(&mut r)?;
-    let sp_diff = rd_store_diff(&mut r)?;
-    r.done("the store diffs")?;
-
-    // --- Stores first: the window refs resolve against the result. ---
-    reconcile(&mut state.sf_store, sf_diff);
-    reconcile(&mut state.sp_store, sp_diff);
-
-    // --- Timeline: strictly new entries (the stream is append-only). ---
-    for entry in new_entries {
-        let t = entry.timestamp;
-        if state.timeline.insert(t, entry).is_some() {
-            return Err(TgsError::corrupt(format!(
-                "delta re-adds timeline timestamp {t}, which the base holds"
-            )));
+    let (mut ops, _, _) = delta.header()?;
+    let mut next = records.next()?;
+    let mut last = None;
+    while ops.remaining() > 0 {
+        let op = ops.tag(APPEND, "delta op")?;
+        let rec = ops.record("delta record")?;
+        in_order(&mut last, &rec)?;
+        match (op, rec.kind) {
+            (PUT, _) | (APPEND, TRACK) => drop(rd_body(&rec, k)?),
+            (REMOVE, SF_ENTRY | SP_ENTRY) if rec.body.is_empty() => {}
+            (op, kind) => {
+                return Err(TgsError::corrupt(format!(
+                    "a delta cannot apply op {op} to a record of kind {kind}"
+                )))
+            }
+        }
+        // Base records before this one are untouched.
+        while let Some(b) = next.filter(|b| (b.kind, b.key) < (rec.kind, rec.key)) {
+            out.raw(b.raw);
+            next = records.next()?;
+        }
+        let hit = next.filter(|b| (b.kind, b.key) == (rec.kind, rec.key));
+        if hit.is_some() {
+            next = records.next()?;
+        }
+        match (op, hit) {
+            (REMOVE, None) => {
+                return Err(TgsError::corrupt(format!(
+                    "a delta removes record (kind {}, key {}), which the base lacks",
+                    rec.kind, rec.key
+                )))
+            }
+            (REMOVE, Some(_)) => {}
+            (APPEND, Some(b)) => out.record(rec.kind, rec.key, |w| {
+                w.raw(b.body);
+                w.raw(rec.body);
+            }),
+            _ => out.raw(rec.raw),
         }
     }
-
-    // --- Track appends extend (or start) each touched user's list. ---
-    for (user, obs) in track_appends {
-        state.user_track.entry(user).or_default().extend(obs);
+    while let Some(b) = next {
+        out.raw(b.raw);
+        next = records.next()?;
     }
-
-    // --- Per-user history: touched users are replaced wholesale; the
-    // rest replay the engine's horizon pruning. Pruning horizons are
-    // monotone in the step counter, so pruning untouched users once at
-    // the final horizon equals pruning them step by step (entries are
-    // newest-first, so the oldest candidates pop from the back). ---
-    let touched_set: BTreeSet<usize> = touched_rows.iter().map(|(u, _)| *u).collect();
-    let mut rows: BTreeMap<usize, Vec<(i64, Vec<f64>)>> =
-        base_state.history_rows.into_iter().collect();
-    for (user, entries) in touched_rows {
-        if entries.is_empty() {
-            return Err(TgsError::corrupt(
-                "delta: touched user with an empty history row",
-            ));
-        }
-        rows.insert(user, entries);
-    }
-    let horizon = history_step - shared.config.window.saturating_sub(1) as i64;
-    for (user, hist) in rows.iter_mut() {
-        if touched_set.contains(user) {
-            continue;
-        }
-        while hist.len() > 1 && hist.last().is_some_and(|(step, _)| *step <= horizon) {
-            hist.pop();
-        }
-    }
-
-    // --- Resolve the window and rebuild the solver (validates shapes). ---
-    let sf_window = resolve_window(window_entries, &state.sf_store, (shared.vocab.len(), k))?;
-    let solver = OnlineSolver::from_state(
-        shared.config.clone(),
-        OnlineSolverState {
-            steps,
-            sf_window,
-            history_step,
-            history_rows: rows.into_iter().collect(),
-        },
-    )?;
-
-    Ok(checkpoint::encode(&shared, &solver, &state))
+    Ok(EngineCheckpoint::from_bytes(out.finish()))
 }
 
 // ---------------------------------------------------------------------
-// Bounded chains with automatic compaction
+// Chains
 // ---------------------------------------------------------------------
 
-/// A base checkpoint plus the deltas recorded on top of it, with
-/// automatic compaction: once the chain's cumulative delta bytes exceed
-/// the base's size, the chain folds into a fresh materialized base (at
-/// that point a full snapshot is cheaper than the chain it replaces).
-/// This is the client-side half of delta checkpointing — the supervisor
-/// and the CLI both hold one per source.
+/// The materialized checkpoint at the tip of a delta chain: each pushed
+/// delta is applied at once, so the tip is always ready to restore from.
+/// The supervisor holds one per slot.
 #[derive(Debug, Clone)]
 pub struct DeltaChain {
-    base_id: u64,
-    base: EngineCheckpoint,
-    deltas: Vec<CheckpointDelta>,
-    delta_bytes: usize,
+    tip: u64,
+    checkpoint: EngineCheckpoint,
 }
 
 impl DeltaChain {
     /// Starts a chain at a freshly taken base.
     pub fn new(base_id: u64, base: EngineCheckpoint) -> Self {
         Self {
-            base_id,
-            base,
-            deltas: Vec::new(),
-            delta_bytes: 0,
+            tip: base_id,
+            checkpoint: base,
         }
     }
 
-    /// The mark id the next delta must name as its base — the last
-    /// delta's `new_id`, or the base's own id on a fresh/compacted chain.
-    pub fn tip(&self) -> Result<u64, TgsError> {
-        match self.deltas.last() {
-            Some(d) => d.new_id(),
-            None => Ok(self.base_id),
-        }
+    /// The mark id the next delta must name as its base.
+    pub fn tip(&self) -> u64 {
+        self.tip
     }
 
-    /// The chain's base checkpoint (post-compaction: the materialized
-    /// fold of every delta so far).
-    pub fn base(&self) -> &EngineCheckpoint {
-        &self.base
+    /// The full checkpoint at the tip, byte-identical to what the source
+    /// engine wrote there.
+    pub fn checkpoint(&self) -> &EngineCheckpoint {
+        &self.checkpoint
     }
 
-    /// The deltas not yet folded into the base.
-    pub fn deltas(&self) -> &[CheckpointDelta] {
-        &self.deltas
-    }
-
-    /// Cumulative serialized size of the retained deltas.
-    pub fn delta_bytes(&self) -> usize {
-        self.delta_bytes
-    }
-
-    /// Appends a delta (which must extend the current tip), compacting
-    /// if the chain cost now exceeds a full snapshot. Returns whether a
-    /// compaction ran.
-    pub fn push(&mut self, delta: CheckpointDelta) -> Result<bool, TgsError> {
-        let tip = self.tip()?;
-        let base_id = delta.base_id()?;
-        if base_id != tip {
+    /// Applies a delta that extends the tip. Atomic: a delta that names
+    /// another base, or fails to apply, leaves the chain unchanged.
+    pub fn push(&mut self, delta: CheckpointDelta) -> Result<(), TgsError> {
+        let (_, base_id, new_id) = delta.header()?;
+        if base_id != self.tip {
             return Err(TgsError::invalid_argument(format!(
-                "delta extends mark {base_id}, but the chain tip is {tip}"
+                "delta extends mark {base_id}, but the chain tip is {}",
+                self.tip
             )));
         }
-        self.delta_bytes += delta.len();
-        self.deltas.push(delta);
-        if self.delta_bytes > self.base.len() {
-            let tip = self.tip()?;
-            let materialized = self.materialize()?;
-            self.base_id = tip;
-            self.base = materialized;
-            self.deltas.clear();
-            self.delta_bytes = 0;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Folds every retained delta into the base: the full checkpoint at
-    /// the chain's tip, byte-identical to what the source engine would
-    /// write there.
-    pub fn materialize(&self) -> Result<EngineCheckpoint, TgsError> {
-        let mut current = self.base.clone();
-        for delta in &self.deltas {
-            current = apply_delta(&current, delta)?;
-        }
-        Ok(current)
-    }
-
-    /// Restarts the chain at a fresh base (the fallback when
-    /// `delta_since` reports the old tip unavailable).
-    pub fn reset(&mut self, base_id: u64, base: EngineCheckpoint) {
-        self.base_id = base_id;
-        self.base = base;
-        self.deltas.clear();
-        self.delta_bytes = 0;
+        self.checkpoint = apply_delta(&self.checkpoint, &delta)?;
+        self.tip = new_id;
+        Ok(())
     }
 }
 
@@ -676,17 +515,16 @@ mod tests {
                 .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
                 .unwrap();
             let delta = engine
-                .delta_since(chain.tip().unwrap())
+                .delta_since(chain.tip())
                 .unwrap()
                 .expect("live mark must serve a delta");
             chain.push(delta).unwrap();
             assert_eq!(
-                chain.materialize().unwrap().as_bytes(),
+                chain.checkpoint().as_bytes(),
                 engine.checkpoint().unwrap().as_bytes(),
                 "base + deltas must be byte-identical to the full checkpoint"
             );
         }
-        assert!(chain.deltas().len() <= windows.len());
     }
 
     #[test]
@@ -744,10 +582,10 @@ mod tests {
     }
 
     #[test]
-    fn chain_compacts_once_deltas_outgrow_the_base() {
+    fn corrupt_deltas_fail_the_push_and_leave_the_chain_unchanged() {
         let c = corpus();
         let engine = engine_over(&c);
-        let windows = tgs_data::day_windows(c.num_days, 1);
+        let windows = tgs_data::day_windows(c.num_days, 2);
         engine
             .ingest(EngineSnapshot::from_corpus_window(
                 &c,
@@ -756,24 +594,69 @@ mod tests {
             ))
             .unwrap();
         let (base_id, base) = engine.checkpoint_base().unwrap();
-        let mut chain = DeltaChain::new(base_id, base);
-        let mut compacted = false;
-        for &(lo, hi) in &windows[1..] {
-            engine
-                .ingest(EngineSnapshot::from_corpus_window(&c, lo, hi))
-                .unwrap();
-            let delta = engine.delta_since(chain.tip().unwrap()).unwrap().unwrap();
-            compacted |= chain.push(delta).unwrap();
+        engine
+            .ingest(EngineSnapshot::from_corpus_window(
+                &c,
+                windows[1].0,
+                windows[1].1,
+            ))
+            .unwrap();
+        let delta = engine.delta_since(base_id).unwrap().unwrap();
+        let full = delta.as_bytes().to_vec();
+        // The first record's length: magic, two ids, op, kind, key.
+        let len_at = 8 + 16 + 1 + 1 + 8;
+        let mut lying = full.clone();
+        let past_the_end = (full.len() - len_at - 8 + 1) as u64;
+        lying[len_at..len_at + 8].copy_from_slice(&past_the_end.to_le_bytes());
+        let mut chain = DeltaChain::new(base_id, base.clone());
+        for (case, bad) in [
+            ("truncated", full[..full.len() - 1].to_vec()),
+            ("count", lying),
+        ] {
+            match chain.push(CheckpointDelta::from_bytes(bad)) {
+                Err(TgsError::CorruptCheckpoint { .. }) => {}
+                other => panic!("{case}: {other:?}"),
+            }
+            assert_eq!(chain.tip(), base_id, "{case}");
+            assert!(chain.checkpoint().as_bytes() == base.as_bytes(), "{case}");
         }
-        // A tiny first base forces growth past it quickly; whether or not
-        // this corpus triggers it, the invariant must hold:
-        assert!(chain.delta_bytes() <= chain.base().len());
-        // And after any compaction the chain still materializes exactly.
+        chain.push(delta.clone()).unwrap();
+        assert_eq!(chain.tip(), delta.new_id().unwrap());
+        assert!(chain.checkpoint().as_bytes() == engine.checkpoint().unwrap().as_bytes());
+    }
+
+    #[test]
+    fn a_delta_carries_the_history_its_span_pruned() {
+        // With window 3 the history keeps two steps, so a user seen at
+        // steps 1 and 2 loses the older row at step 3 without being
+        // touched: that user's history record must still ride along.
+        let c = corpus();
+        let engine = EngineBuilder::new()
+            .k(3)
+            .max_iters(4)
+            .window(3)
+            .fit(&c)
+            .unwrap();
+        let tokens: Vec<String> = engine.vocabulary().tokens()[..4].to_vec();
+        let step = |ts: u64, users: &[usize]| {
+            let mut snapshot = EngineSnapshot::new(ts);
+            for &user in users {
+                snapshot.push_tokens(user, tokens.clone());
+            }
+            engine.ingest(snapshot).unwrap();
+        };
+        step(0, &[1, 2]);
+        step(1, &[1, 2]);
+        let (base_id, base) = engine.checkpoint_base().unwrap();
+        step(2, &[2, 3]);
+        step(3, &[3, 4]);
+        let delta = engine.delta_since(base_id).unwrap().unwrap();
         assert_eq!(
-            chain.materialize().unwrap().as_bytes(),
+            SentimentEngine::apply_delta(&base, &delta)
+                .unwrap()
+                .as_bytes(),
             engine.checkpoint().unwrap().as_bytes()
         );
-        let _ = compacted;
     }
 
     #[test]

@@ -473,7 +473,7 @@ impl SentimentEngine {
         self.flush()?;
         let solver = self.solver.lock();
         let mut state = self.state.lock();
-        crate::delta::encode_delta(&self.shared, &solver, &mut state, base_id)
+        crate::delta::encode_delta(&solver, &mut state, base_id)
     }
 
     /// Folds a delta into its base checkpoint, producing the full
@@ -924,6 +924,7 @@ fn process(
     }
     st.sf_store.put(timestamp, &step.factors.sf);
     st.sp_store.put(timestamp, &step.factors.sp);
-    st.tracker.record_commit(timestamp, touched);
+    st.tracker
+        .record_commit(timestamp, touched, step.pruned_users);
     Ok(())
 }

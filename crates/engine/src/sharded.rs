@@ -2129,40 +2129,36 @@ mod tests {
 
     #[test]
     fn a_corrupt_second_section_fails_the_parallel_restore_typed() {
-        use crate::checkpoint::layout;
         let c = corpus();
         let engine = sharded(&c, 2);
         stream(&engine, &c);
         let full = engine.checkpoint().unwrap().as_bytes().to_vec();
         let (start, len) = section_spans(&full, 2)[1];
         let section = &full[start..start + len];
-        let fields = layout::fields(section);
         let put = |at: usize, v: u64| {
             let mut bad = full.clone();
             bad[start + at..start + at + 8].copy_from_slice(&v.to_le_bytes());
             bad
         };
-        for &at in &fields.counts {
-            for lie in layout::count_lies(section, at) {
-                assert!(!restore_or_corrupt(put(at, lie), &format!("count @{at}")));
+        // Every record's length field lies: past the section's end, and
+        // one byte short (which leaves its body undecodable or misframes
+        // the records that follow).
+        let mut records = crate::checkpoint::Records::new(section).unwrap();
+        let mut lens = 0;
+        while let Some(rec) = records.next().unwrap() {
+            let at = rec.raw.as_ptr() as usize - section.as_ptr() as usize + 9;
+            let end = (len - at - 8) as u64;
+            for lie in [end + 1, u64::MAX, rec.body.len() as u64 - 1] {
+                assert!(!restore_or_corrupt(
+                    put(at, lie),
+                    &format!("length @{at} = {lie}")
+                ));
             }
+            lens += 1;
         }
-        for &at in &fields.entry_lens {
-            let real = u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
-            assert!(!restore_or_corrupt(
-                put(at, real + 8),
-                &format!("entry @{at}")
-            ));
-        }
-        for &at in &fields.matrix_heads {
-            let rows = u64::from_le_bytes(section[at..at + 8].try_into().unwrap());
-            assert!(!restore_or_corrupt(
-                put(at, rows + 1),
-                &format!("head @{at}")
-            ));
-        }
+        assert!(lens > 20, "{lens} records");
         // Seeded bit flips anywhere: the topology header and both sections.
-        for (i, at) in layout::seeded_offsets(0x5EC7, 300, full.len())
+        for (i, at) in seeded_offsets(0x5EC7, 300, full.len())
             .into_iter()
             .enumerate()
         {
@@ -2171,6 +2167,20 @@ mod tests {
             restore_or_corrupt(bad, &format!("bit {} @{at}", i % 8));
         }
         assert!(restore_or_corrupt(full, "untouched"));
+    }
+
+    /// Deterministic offsets in `0..len` (splitmix64).
+    fn seeded_offsets(seed: u64, n: usize, len: usize) -> Vec<usize> {
+        let mut z = seed;
+        (0..n)
+            .map(|_| {
+                z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut x = z;
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((x ^ (x >> 31)) % len as u64) as usize
+            })
+            .collect()
     }
 
     #[test]
@@ -2184,7 +2194,9 @@ mod tests {
         let mut bad = full.clone();
         bad[spans[1].0] ^= 0xFF;
         for &(start, _) in &spans[2..] {
-            let at = start + crate::checkpoint::layout::CONFIG_END;
+            // The vocabulary length follows the magic, the head record's
+            // header and the 94-byte configuration.
+            let at = start + 8 + 17 + 94;
             bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         }
         for _ in 0..8 {

@@ -236,6 +236,69 @@ mod tests {
     }
 
     #[test]
+    fn mutated_specs_parse_or_fail_without_panicking() {
+        // Seeded byte-level mutations of the documented spec: inserts
+        // from the grammar's own alphabet (and a few bytes outside it),
+        // deletes and bit flips, then numbers at and past every limit.
+        const SPEC: &str = "seed=7, delay_ms=5, ingest.truncate=0.25, *.error=0.01";
+        const ALPHABET: &[u8] = b"=.,* 0123456789eE+-_xNaninfdroptruncate\xff\x00\xc3";
+        let mut z = 0x7E57_FA17_u64;
+        let mut next = move |n: usize| {
+            z = z.wrapping_add(1);
+            (splitmix(z) % n as u64) as usize
+        };
+        let mut specs = Vec::new();
+        for _ in 0..4000 {
+            let mut bytes = SPEC.as_bytes().to_vec();
+            for _ in 0..1 + next(4) {
+                let at = next(bytes.len() + 1);
+                match next(3) {
+                    0 => bytes.insert(at, ALPHABET[next(ALPHABET.len())]),
+                    1 if at < bytes.len() => drop(bytes.remove(at)),
+                    _ if at < bytes.len() => bytes[at] ^= 1 << next(8),
+                    _ => {}
+                }
+            }
+            specs.push(String::from_utf8_lossy(&bytes).into_owned());
+        }
+        for value in [
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999999",
+            "-1",
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "1e308",
+            "1e309",
+            "-0",
+            "0x10",
+            "",
+        ] {
+            for key in ["seed", "delay_ms", "ingest.drop", "*.error", "*.delay"] {
+                specs.push(format!("{key}={value}"));
+                specs.push(format!("{SPEC}, {key}={value}"));
+            }
+        }
+        let mut parsed = 0;
+        for spec in &specs {
+            let outcome = std::panic::catch_unwind(|| FaultPolicy::parse(spec))
+                .unwrap_or_else(|_| panic!("{spec:?} panicked"));
+            if let Ok(policy) = outcome {
+                parsed += 1;
+                assert!(
+                    policy.rules.iter().all(|r| (0.0..=1.0).contains(&r.prob)),
+                    "{spec:?} armed a probability outside [0, 1]"
+                );
+                policy.decide(op::INGEST, || u64::MAX);
+            }
+        }
+        // The harness must reach both outcomes, or it tests nothing.
+        assert!(parsed > 100 && parsed < specs.len() - 100, "{parsed}");
+    }
+
+    #[test]
     fn decisions_are_deterministic_and_scoped_to_matching_opcodes() {
         let p = FaultPolicy::parse("seed=42, ingest.truncate=0.5").expect("valid");
         let run = |p: &FaultPolicy| {

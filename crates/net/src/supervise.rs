@@ -9,9 +9,9 @@
 //!   window cadence (and whenever anything else asks the shard for its
 //!   section), this is the byte-exact baseline a replacement slot is
 //!   re-seeded from. Once anchored via `CHECKPOINT_BASE` the baseline
-//!   is a base checkpoint plus a bounded delta chain: refreshes ask
-//!   `DELTA_SINCE(tip)` and ship only changed bytes, and the supervisor
-//!   compacts the chain locally when its cost exceeds a full snapshot;
+//!   is a delta chain: refreshes ask `DELTA_SINCE(tip)` and apply the
+//!   changed bytes at once, so a corrupt answer fails the refresh (and
+//!   keeps the journal) instead of surfacing at recovery;
 //! * **replay journal** — every snapshot ingested since that baseline,
 //!   in order. Bounded: past [`SupervisorConfig::journal_limit`] the
 //!   shard first tries to refresh its baseline (which empties the
@@ -96,22 +96,22 @@ impl Default for SupervisorConfig {
 /// A deploy-time section has no server-side mark id, so it can only be
 /// refreshed wholesale; once a refresh goes through `CHECKPOINT_BASE`
 /// the slot holds a [`DeltaChain`] instead and subsequent refreshes
-/// ship only `DELTA_SINCE(tip)` bytes, compacting locally when the
-/// accumulated deltas outgrow the base.
+/// ship only `DELTA_SINCE(tip)` bytes, applied to the chain's
+/// materialized checkpoint as they arrive.
 enum Baseline {
     /// Full checkpoint bytes with no delta anchor.
     Section(Vec<u8>),
-    /// Delta-capable: base checkpoint plus the chain of applied deltas,
-    /// keyed by the server-side mark id at its tip.
+    /// Delta-capable: the checkpoint at the chain's tip, keyed by the
+    /// server-side mark id there.
     Chain(DeltaChain),
 }
 
 impl Baseline {
     /// The byte-exact section a replacement slot is seeded from.
-    fn materialize(&self) -> Result<Vec<u8>, TgsError> {
+    fn section(&self) -> &[u8] {
         match self {
-            Baseline::Section(bytes) => Ok(bytes.clone()),
-            Baseline::Chain(chain) => Ok(chain.materialize()?.as_bytes().to_vec()),
+            Baseline::Section(bytes) => bytes,
+            Baseline::Chain(chain) => chain.checkpoint().as_bytes(),
         }
     }
 }
@@ -210,14 +210,16 @@ impl SupervisedShard {
     /// shipping only changed bytes when possible.
     ///
     /// With a delta-capable baseline this asks `DELTA_SINCE(tip)` and
-    /// appends the answer to the local chain (compacting when the chain
-    /// outgrows the base); an unavailable mark — aged out, or the slot
-    /// was respawned with fresh marks — falls back to a full
+    /// applies the answer to the local chain before the journal is
+    /// cleared, so a delta that fails to apply leaves both the baseline
+    /// and the journal that rebuilds from it untouched. An unavailable
+    /// mark — aged out, or the slot was respawned with fresh marks —
+    /// falls back to a full
     /// `CHECKPOINT_BASE`, which also re-anchors delta capability for a
     /// slot deployed from a plain section.
     fn refresh_locked(&self, state: &mut SlotState) -> Result<(), TgsError> {
         if let Some(Baseline::Chain(chain)) = &mut state.last_good {
-            match self.inner.delta_since(chain.tip()?) {
+            match self.inner.delta_since(chain.tip()) {
                 Ok(Some(bytes)) => {
                     let delta = CheckpointDelta::from_bytes(bytes);
                     chain.push(delta)?;
@@ -305,7 +307,7 @@ impl SupervisedShard {
             ));
         }
         let baseline = match &state.last_good {
-            Some(b) => b.materialize()?,
+            Some(b) => b.section().to_vec(),
             None => {
                 return Err(TgsError::net(
                     self.inner.peer(),

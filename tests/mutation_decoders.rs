@@ -1,7 +1,8 @@
-//! One seeded mutation harness over the decoders that read bytes from
-//! disk or the network beyond full checkpoints (whose restore paths have
-//! their own mutation tests): single-engine and multi-shard deltas, the
-//! migrated-users payload, and every `tgs_net::wire` payload decoder.
+//! One seeded mutation harness over every decoder that reads bytes from
+//! disk or the network: single-engine and multi-shard checkpoints and
+//! deltas, the migrated-users payload, and every `tgs_net::wire` payload
+//! decoder. Checkpoints and deltas share one record framing, so one
+//! walker ([`Walk`]) finds the fields of both.
 //!
 //! Every input is mutated four ways:
 //!
@@ -12,9 +13,13 @@
 //! * prefixes cut at a fixed stride;
 //! * seeded single-bit flips.
 //!
+//! Checkpoints and deltas also get record-level lies: two keys swapped
+//! out of order, a duplicated key, an unknown kind, and (in a delta) a
+//! row record one `u64` short of a whole row.
+//!
 //! Every case must end in a typed error or a valid value — never a panic
-//! — and a count lie or a truncation of a delta or a migration payload
-//! must be an error. The binary runs under a counting allocator: no
+//! — and a count lie, a record lie or a truncation of a checkpoint, a
+//! delta or a migration payload must be an error. The binary runs under a counting allocator: no
 //! single allocation made while decoding a case may exceed
 //! [`ALLOC_FACTOR`] times the bytes the decoder was handed, plus
 //! [`ALLOC_SLACK`] for fixed-size scratch (the stats histogram, the
@@ -116,7 +121,51 @@ struct Fields {
     counts: Vec<(usize, usize)>,
     /// Offsets of 16-byte `rows | cols` matrix headers.
     heads: Vec<usize>,
+    /// Every record of a checkpoint or delta stream.
+    records: Vec<Rec>,
 }
+
+impl Fields {
+    fn extend(&mut self, other: Fields) {
+        self.counts.extend(other.counts);
+        self.heads.extend(other.heads);
+        self.records.extend(other.records);
+    }
+}
+
+/// One `(kind, key, len, body)` record's offsets.
+#[derive(Clone, Copy)]
+struct Rec {
+    /// The kind byte (after a delta's op byte).
+    kind_at: usize,
+    kind: u8,
+    /// The body, which ends at `body + len`.
+    body: usize,
+    len: usize,
+}
+
+impl Rec {
+    fn key_at(&self) -> usize {
+        self.kind_at + 1
+    }
+
+    fn len_at(&self) -> usize {
+        self.kind_at + 9
+    }
+}
+
+/// Record kinds whose bodies the walker looks into (see
+/// `tgs_engine::checkpoint`): the head, the solver, row runs and store
+/// entries.
+const HEAD: u8 = 0;
+const SOLVER: u8 = 1;
+const HISTORY: u8 = 2;
+const TRACK: u8 = 3;
+const SF_ENTRY: u8 = 6;
+const SP_ENTRY: u8 = 8;
+
+/// Bytes of the head record's fixed-width configuration.
+const CONFIG_LEN: usize = 8 + 4 * 8 + (8 + 1 + 8 + 8 + 8 + 2) + (8 + 8 + 3);
 
 /// Byte-offset walk over a valid input, recording its fields.
 struct Walk<'a> {
@@ -162,40 +211,89 @@ impl<'a> Walk<'a> {
         self.skip(len);
     }
 
-    /// `count × (user id, count × (key, k × f64))`.
-    fn user_rows(&mut self, k: usize) {
-        for _ in 0..self.count() {
-            self.skip(8);
-            let records = self.count();
-            self.skip(records * 8 * (k + 1));
+    fn finish(self) -> Fields {
+        assert_eq!(self.pos, self.end, "walk must end at the last byte");
+        self.fields
+    }
+
+    /// A run of records up to the end, each after an op byte in a delta.
+    fn records(mut self, ops: bool) -> Fields {
+        while self.pos < self.end {
+            if ops {
+                self.skip(1);
+            }
+            let kind_at = self.pos;
+            let kind = self.u8();
+            self.skip(8); // key
+            let len = self.count();
+            let rec = Rec {
+                kind_at,
+                kind,
+                body: self.pos,
+                len,
+            };
+            let inner = Walk::new(self.buf, rec.body, rec.body + len).body(kind);
+            self.fields.extend(inner);
+            self.fields.records.push(rec);
+            self.skip(len);
         }
+        self.finish()
+    }
+
+    /// The fields inside one record body.
+    fn body(mut self, kind: u8) -> Fields {
+        match kind {
+            HEAD => {
+                self.skip(CONFIG_LEN);
+                for _ in 0..self.count() {
+                    let token = self.count();
+                    self.skip(token);
+                }
+                self.matrix(); // the prior
+            }
+            SOLVER => {
+                self.skip(16); // steps, history step
+                for _ in 0..self.count() {
+                    match self.u8() {
+                        1 => self.skip(8),
+                        _ => self.matrix(),
+                    }
+                }
+            }
+            // A store entry is an encoded matrix (empty when removed).
+            SF_ENTRY | SP_ENTRY if self.end > self.pos => {
+                self.fields.heads.push(self.pos);
+                self.pos = self.end;
+            }
+            _ => self.pos = self.end,
+        }
+        self.finish()
+    }
+
+    /// A single-engine checkpoint.
+    fn checkpoint(mut self) -> Fields {
+        self.skip(8); // magic
+        self.records(false)
     }
 
     /// A single-engine delta.
     fn delta(mut self) -> Fields {
         self.skip(8 + 16); // magic, base and new mark ids
-        let k = self.u64();
-        self.skip(16); // solver steps, history step
-        for _ in 0..self.count() {
-            match self.u8() {
-                1 => self.skip(8),
-                _ => self.matrix(),
-            }
+        self.records(true)
+    }
+
+    /// A multi-shard checkpoint: its header, then each shard's section.
+    fn fleet_checkpoint(mut self) -> Fields {
+        self.skip(8);
+        let shards = self.count();
+        self.skip(8 + 1 + 8 * shards + 8); // universe, ghost flag, starts, fingerprint
+        for _ in 0..shards {
+            let len = self.count();
+            let inner = Walk::new(self.buf, self.pos, self.pos + len).checkpoint();
+            self.fields.extend(inner);
+            self.skip(len);
         }
-        self.user_rows(k); // touched history rows
-        let timeline = self.count();
-        self.skip(timeline * (8 * (7 + 2 * k) + 1));
-        self.user_rows(k); // track appends
-        for _ in 0..2 {
-            let removed = self.count();
-            self.skip(removed * 8);
-            for _ in 0..self.count() {
-                self.skip(8);
-                self.matrix();
-            }
-        }
-        assert_eq!(self.pos, self.end, "walk must end at the last byte");
-        self.fields
+        self.finish()
     }
 
     /// A multi-shard delta: its header, then each slot's delta.
@@ -211,13 +309,11 @@ impl<'a> Walk<'a> {
             let len = self.count();
             if tag == 1 {
                 let inner = Walk::new(self.buf, self.pos, self.pos + len).delta();
-                self.fields.counts.extend(inner.counts);
-                self.fields.heads.extend(inner.heads);
+                self.fields.extend(inner);
             }
             self.skip(len);
         }
-        assert_eq!(self.pos, self.end, "walk must end at the last byte");
-        self.fields
+        self.finish()
     }
 
     /// A migrated-users payload.
@@ -231,16 +327,17 @@ impl<'a> Walk<'a> {
                 self.skip(8 * k);
             }
         }
-        assert_eq!(self.pos, self.end, "walk must end at the last byte");
-        self.fields
+        self.finish()
     }
 }
 
-/// One mutated input and whether it must fail.
+/// One mutated input, whether it must fail, and whether its allocations
+/// are capped.
 struct Case {
     name: String,
     bytes: Vec<u8>,
     must_fail: bool,
+    capped: bool,
 }
 
 fn put_u64(buf: &[u8], at: usize, v: u64) -> Vec<u8> {
@@ -259,6 +356,7 @@ fn cases(input: &[u8], fields: &Fields, stride: usize, flips: usize, strict: boo
                 name: format!("count @{at} = {lie}"),
                 bytes: put_u64(input, at, lie),
                 must_fail: strict,
+                capped: true,
             });
         }
     }
@@ -269,6 +367,7 @@ fn cases(input: &[u8], fields: &Fields, stride: usize, flips: usize, strict: boo
                 name: format!("matrix rows @{at} = {lie}"),
                 bytes: put_u64(input, at, lie),
                 must_fail: true,
+                capped: true,
             });
         }
     }
@@ -277,6 +376,7 @@ fn cases(input: &[u8], fields: &Fields, stride: usize, flips: usize, strict: boo
             name: format!("prefix of {cut} bytes"),
             bytes: input[..cut].to_vec(),
             must_fail: strict,
+            capped: true,
         });
     }
     for (i, at) in seeded_offsets(0x5EED ^ input.len() as u64, flips, input.len())
@@ -289,7 +389,62 @@ fn cases(input: &[u8], fields: &Fields, stride: usize, flips: usize, strict: boo
             name: format!("bit {} @{at}", i % 8),
             bytes: bad,
             must_fail: false,
+            capped: true,
         });
+    }
+    out
+}
+
+/// Record-level lies, each of which must fail: adjacent keys of one
+/// kind swapped, a key duplicated, an unknown kind, and every row record
+/// of a delta cut one `u64` short of a whole row (its length adjusted).
+fn record_cases(input: &[u8], fields: &Fields, delta: bool) -> Vec<Case> {
+    let key = |rec: &Rec| &input[rec.key_at()..rec.key_at() + 8];
+    let mut out = Vec::new();
+    for pair in fields.records.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if a.kind != b.kind {
+            continue;
+        }
+        let mut swapped = input.to_vec();
+        swapped[a.key_at()..a.key_at() + 8].copy_from_slice(key(&b));
+        swapped[b.key_at()..b.key_at() + 8].copy_from_slice(key(&a));
+        let mut duplicate = input.to_vec();
+        duplicate[b.key_at()..b.key_at() + 8].copy_from_slice(key(&a));
+        out.push(Case {
+            name: format!("keys @{} and @{} swapped", a.kind_at, b.kind_at),
+            bytes: swapped,
+            must_fail: true,
+            capped: true,
+        });
+        out.push(Case {
+            name: format!("key @{} duplicated", b.kind_at),
+            bytes: duplicate,
+            must_fail: true,
+            capped: true,
+        });
+    }
+    for rec in &fields.records {
+        let mut unknown = input.to_vec();
+        unknown[rec.kind_at] = 0xEE;
+        out.push(Case {
+            name: format!("unknown kind @{}", rec.kind_at),
+            bytes: unknown,
+            must_fail: true,
+            capped: true,
+        });
+        if delta && matches!(rec.kind, HISTORY | TRACK) {
+            let end = rec.body + rec.len;
+            let mut short = input[..end - 8].to_vec();
+            short.extend_from_slice(&input[end..]);
+            let short = put_u64(&short, rec.len_at(), rec.len as u64 - 8);
+            out.push(Case {
+                name: format!("row width @{}", rec.kind_at),
+                bytes: short,
+                must_fail: true,
+                capped: true,
+            });
+        }
     }
     out
 }
@@ -315,7 +470,7 @@ fn run(
             case.name
         );
         assert!(
-            largest <= bound,
+            !case.capped || largest <= bound,
             "{what}: {} allocated {largest} bytes at once (bound {bound})",
             case.name
         );
@@ -331,39 +486,97 @@ fn corrupt_or_ok<T>(outcome: Result<T, TgsError>) -> Result<(), TgsError> {
     }
 }
 
+/// A restore must fail as `CorruptCheckpoint` or yield an engine that
+/// answers queries and checkpoints again.
+fn restores_or_corrupt<E>(
+    restored: Result<E, TgsError>,
+    check: impl FnOnce(E) -> Result<(), TgsError>,
+) -> Result<(), TgsError> {
+    match restored {
+        Ok(engine) => check(engine),
+        Err(e @ TgsError::CorruptCheckpoint { .. }) => Err(e),
+        Err(e) => panic!("untyped restore failure: {e:?}"),
+    }
+}
+
+#[test]
+fn single_engine_checkpoints() {
+    let ckpt = fixture("engine_tip_v3.ckpt");
+    let fields = Walk::new(&ckpt, 0, ckpt.len()).checkpoint();
+    assert!(fields.records.len() > 50 && !fields.heads.is_empty());
+    let mut mutated = cases(&ckpt, &fields, 397, 300, true);
+    mutated.extend(record_cases(&ckpt, &fields, false));
+    // Every bit of the configuration: an out-of-domain value is
+    // corruption too, not a config error or a huge queue. These cases
+    // are not capped: a restored engine allocates its ingest queue up
+    // front, and a flipped queue-depth bit legitimately asks for up to
+    // the builder's 65 536 slots.
+    let config = fields.records[0].body;
+    for at in config..config + CONFIG_LEN {
+        for bit in 0..8 {
+            let mut bad = ckpt.clone();
+            bad[at] ^= 1 << bit;
+            mutated.push(Case {
+                name: format!("config bit {bit} @{at}"),
+                bytes: bad,
+                must_fail: false,
+                capped: false,
+            });
+        }
+    }
+    run("checkpoint", mutated, 0, |bytes| {
+        let restored = SentimentEngine::restore(&EngineCheckpoint::from_bytes(bytes.to_vec()));
+        restores_or_corrupt(restored, |engine| {
+            engine.query().timeline(..);
+            engine.checkpoint().map(drop)
+        })
+    });
+}
+
+#[test]
+fn multi_shard_checkpoints() {
+    let ckpt = fixture("fleet_tip_v3.ckpt");
+    let fields = Walk::new(&ckpt, 0, ckpt.len()).fleet_checkpoint();
+    assert!(fields.records.len() > 80 && !fields.heads.is_empty());
+    let mut mutated = cases(&ckpt, &fields, 613, 300, true);
+    mutated.extend(record_cases(&ckpt, &fields, false));
+    run("fleet checkpoint", mutated, 0, |bytes| {
+        let restored = ShardedEngine::restore(&ShardedCheckpoint::from_bytes(bytes.to_vec()));
+        restores_or_corrupt(restored, |fleet| {
+            fleet.query().timeline(..)?;
+            fleet.checkpoint()?;
+            fleet.shutdown()
+        })
+    });
+}
+
 #[test]
 fn single_engine_deltas() {
-    let base = EngineCheckpoint::from_bytes(fixture("engine_base.ckpt"));
-    let delta = fixture("engine.delta");
+    let base = EngineCheckpoint::from_bytes(fixture("engine_base_v3.ckpt"));
+    let delta = fixture("engine_v3.delta");
     let fields = Walk::new(&delta, 0, delta.len()).delta();
     assert!(fields.counts.len() > 20 && !fields.heads.is_empty());
-    run(
-        "delta",
-        cases(&delta, &fields, 211, 300, true),
-        base.len(),
-        |bytes| {
-            let delta = CheckpointDelta::from_bytes(bytes.to_vec());
-            corrupt_or_ok(SentimentEngine::apply_delta(&base, &delta))
-        },
-    );
+    let mut mutated = cases(&delta, &fields, 211, 300, true);
+    mutated.extend(record_cases(&delta, &fields, true));
+    run("delta", mutated, base.len(), |bytes| {
+        let delta = CheckpointDelta::from_bytes(bytes.to_vec());
+        corrupt_or_ok(SentimentEngine::apply_delta(&base, &delta))
+    });
 }
 
 #[test]
 fn multi_shard_deltas() {
-    let base = ShardedCheckpoint::from_bytes(fixture("fleet_base.ckpt"));
-    let delta = fixture("fleet.delta");
+    let base = ShardedCheckpoint::from_bytes(fixture("fleet_base_v3.ckpt"));
+    let delta = fixture("fleet_v3.delta");
     let fields = Walk::new(&delta, 0, delta.len()).fleet_delta();
     assert!(fields.counts.len() > 40 && !fields.heads.is_empty());
-    run(
-        "fleet delta",
-        cases(&delta, &fields, 331, 300, true),
-        base.len(),
-        |bytes| {
-            let delta = ShardedDelta::from_bytes(bytes.to_vec());
-            corrupt_or_ok(ShardedEngine::apply_delta(&base, &delta))?;
-            corrupt_or_ok(delta.tips())
-        },
-    );
+    let mut mutated = cases(&delta, &fields, 331, 300, true);
+    mutated.extend(record_cases(&delta, &fields, true));
+    run("fleet delta", mutated, base.len(), |bytes| {
+        let delta = ShardedDelta::from_bytes(bytes.to_vec());
+        corrupt_or_ok(ShardedEngine::apply_delta(&base, &delta))?;
+        corrupt_or_ok(delta.tips())
+    });
 }
 
 #[test]
@@ -374,7 +587,7 @@ fn migrated_users() {
     // An engine holding no users, so every valid import lands; each one
     // is exported again to leave the engine empty for the next case.
     let engine =
-        SentimentEngine::restore(&EngineCheckpoint::from_bytes(fixture("engine_tip.ckpt")))
+        SentimentEngine::restore(&EngineCheckpoint::from_bytes(fixture("engine_tip_v3.ckpt")))
             .unwrap();
     engine.export_users_bytes(0, usize::MAX);
     run(
@@ -523,7 +736,7 @@ fn wire_payloads() {
             counts: (0..payload.len().saturating_sub(7))
                 .map(|at| (at, payload.len()))
                 .collect(),
-            heads: Vec::new(),
+            ..Fields::default()
         };
         run(what, cases(&payload, &fields, 1, 64, false), 0, decode);
     }
